@@ -2,7 +2,10 @@
 
 Everything here is deliberately written as plain nested loops over scalars,
 sharing no code with the library, so agreement between the two is evidence
-of correctness rather than tautology.
+of correctness rather than tautology.  The one exception is
+:func:`forward_ref`, which reads each row's conv slots from
+``arch.plan_block`` (the layer table) but chains the rows and runs every
+kernel itself.
 """
 from __future__ import annotations
 
@@ -10,6 +13,8 @@ import itertools
 import math
 
 import numpy as np
+
+from lanekit.arch import plan_block
 
 
 def conv2d_ref(x, kernel, stride=(1, 1), dilation=(1, 1), padding=(0, 0)):
@@ -207,3 +212,84 @@ def optimal_match_counts(pred_lanes, gt_lanes, px_threshold, lane_match_threshol
         return (0, gt_vertices, np_, np_, ng, ng)
     _, correct, false_lanes = best
     return (correct, gt_vertices, false_lanes, np_, ng - k, ng)
+
+
+BATCHNORM_EPS = 1e-5
+
+
+def _bn_ref(x, store, prefix):
+    g, b, m, v = (np.asarray(store[f"{prefix}.bn.{part}"], dtype=np.float64)[None, :, None, None]
+                  for part in ("gamma", "beta", "mean", "var"))
+    return g * (x - m) / np.sqrt(v + BATCHNORM_EPS) + b
+
+
+def _prelu_ref(x, slope):
+    s = np.asarray(slope, dtype=np.float64)[None, :, None, None]
+    return np.where(x > 0, x, s * x)
+
+
+def _unpool_ref(x, arg, out_hw):
+    n, c, _, _ = x.shape
+    oh, ow = out_hw
+    out = np.zeros((n, c, oh * ow), dtype=np.float64)
+    for b, ci, i, j in np.ndindex(*x.shape):
+        out[b, ci, arg[b, ci, i, j]] = x[b, ci, i, j]
+    return out.reshape(n, c, oh, ow)
+
+
+def _slot_ref(x, slot, store):
+    conv = conv2d_ref if slot.op == "conv" else transposed_conv2d_ref
+    x = conv(x, store[f"{slot.name}.kernel"], slot.stride, slot.dilation, slot.padding)
+    if slot.bn:
+        x = _bn_ref(x, store, slot.name)
+    if slot.act:
+        x = _prelu_ref(x, store[f"{slot.name}.slope"])
+    return x
+
+
+def _block_ref(x, plan, store, pools):
+    nm = plan.layer.name
+    if plan.pool == "initial":
+        pooled, _ = maxpool2x2_ref(x)
+        x = np.concatenate([_slot_ref(x, plan.ext[0], store), pooled], axis=1)
+        return _prelu_ref(_bn_ref(x, store, nm), store[f"{nm}.out.slope"])
+    if plan.layer.kind == "conv1x1":
+        return _slot_ref(x, plan.ext[0], store)
+    ext = x
+    for slot in plan.ext:
+        ext = _slot_ref(ext, slot, store)
+    if plan.pool == "down":
+        main, arg = maxpool2x2_ref(x)
+        pools.append((arg, x.shape[2:]))
+        n, c, h, w = main.shape
+        main = np.concatenate([main, np.zeros((n, plan.zero_pad_to - c, h, w))], axis=1)
+    elif plan.pool == "up":
+        arg, out_hw = pools.pop()
+        main = _unpool_ref(_slot_ref(x, plan.main_conv, store), arg, out_hw)
+    else:
+        main = x
+    return _prelu_ref(main + ext, store[f"{nm}.out.slope"])
+
+
+def forward_ref(spec, store, image):
+    """Inference-mode network output {head: map} in float64.
+
+    The trunk rows chain from the image; every head runs its own three rows
+    from the trunk output.  With shared heads rows 19-20 of every head read
+    the same weight slots, so running them once per head gives the same
+    maps as running them once for all heads.
+    """
+    x = np.asarray(image, dtype=np.float64)
+    pools = []
+    ch = 3
+    for layer in spec.layers:
+        x = _block_ref(x, plan_block(layer, ch, spec.projection_ratio), store, pools)
+        ch = layer.out_channels
+    outputs = {}
+    for head in spec.heads:
+        y, head_ch = x, ch
+        for layer in head.layers:
+            y = _block_ref(y, plan_block(layer, head_ch, spec.projection_ratio), store, pools)
+            head_ch = layer.out_channels
+        outputs[head.name] = y
+    return outputs

@@ -3,6 +3,7 @@ import pytest
 
 from lanekit import arch
 from lanekit.errors import FormatError, ShapeError
+from oracles import forward_ref
 
 # Table of the 21-layer network at the 640x352 input, as (C, H, W) per row.
 # The published stage-2/3 width cell (88) contradicts the table's own halving
@@ -199,6 +200,31 @@ def test_shared_heads_forward_matches_shapes():
     store = arch.random_weights(spec, seed=6)
     seg, haf, vaf = arch.forward(spec, store, np.zeros((1, 3, 16, 16), dtype=np.float32))
     assert seg.shape == (1, 1, 4, 4) and vaf.shape == (1, 2, 4, 4)
+
+
+@pytest.mark.parametrize("shared_heads", [False, True])
+def test_forward_matches_reference_oracle(shared_heads):
+    spec = arch.build_enet21(shared_heads=shared_heads)
+    store = arch.random_weights(spec, seed=12)
+    img = np.random.default_rng(12).random((1, 3, 16, 16), dtype=np.float32)
+    ref = forward_ref(spec, store, img)
+    got = arch.forward(spec, store, img)
+    for name, out in zip(("seg", "haf", "vaf"), got):
+        assert out.shape == ref[name].shape
+        np.testing.assert_allclose(out, ref[name], rtol=0, atol=1e-5, err_msg=name)
+
+
+@pytest.mark.parametrize("shared_heads, params, flops, slots", [
+    (False, 266_319, 2_995_491_840, 428),
+    (True, 247_759, 2_480_051_200, 356),
+])
+def test_ledger_exact_at_full_size(shared_heads, params, flops, slots):
+    spec = arch.build_enet21(shared_heads=shared_heads)
+    report = arch.count_flops(spec, (3, 352, 640))
+    assert report.total_params == params
+    assert report.total_flops == flops
+    assert arch.count_params(spec).total_params == params
+    assert len(arch.weight_slots(spec)) == slots
 
 
 # ------------------------------------------------------------ weight files
