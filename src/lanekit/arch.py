@@ -9,11 +9,16 @@ bias term.
 
 Everything downstream of :func:`build_enet21` (shape tracing, parameter and
 FLOP accounting, the forward pass, weight initialization and the weight-file
-layout) is derived from one per-layer plan so the ledgers cannot drift from
-the executed graph.
+layout) folds over one walk of the per-layer plan, :func:`walk`, so the
+ledgers cannot drift from the executed graph.  The walk alone owns the
+branch rule: the trunk rows chain from the image, and each head starts from
+the trunk output, or, with shared heads, from the output of rows 19-20,
+which then run once.  The parameter ledger counts the weight slots
+themselves, less the batchnorm running statistics.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -179,92 +184,65 @@ def plan_block(layer: LayerSpec, in_ch: int, projection_ratio: int) -> BlockPlan
     return BlockPlan(layer, in_ch, ext)
 
 
-def iter_plans(spec: ArchSpec):
-    """Yield (plan, head_name_or_None) in execution order.
+def walk(spec: ArchSpec, x, step) -> dict:
+    """Fold ``x = step(plan, head, x)`` over the rows in execution order.
 
-    With shared heads, rows 19-20 are yielded once (head=None) followed by
-    the three per-head 1x1 convs.
+    This is the one place that decides which output feeds each row: the
+    trunk rows chain from the input, and each head starts from the trunk
+    output.  With shared heads, rows 19-20 run once after the trunk (with
+    head None) and each head's row-21 conv starts from their output.
+    Returns the final value of each head, keyed by head name.
     """
-    ch = 3
-    for layer in spec.layers:
-        plan = plan_block(layer, ch, spec.projection_ratio)
-        yield plan, None
-        ch = layer.out_channels
-    trunk_ch = ch
-    if spec.shared_heads:
-        shared = spec.heads[0].layers[:2]
-        ch = trunk_ch
-        for layer in shared:
-            yield plan_block(layer, ch, spec.projection_ratio), None
+    def chain(head, layers, x, ch):
+        for layer in layers:
+            x = step(plan_block(layer, ch, spec.projection_ratio), head, x)
             ch = layer.out_channels
-        for head in spec.heads:
-            yield plan_block(head.layers[2], ch, spec.projection_ratio), head.name
-    else:
-        for head in spec.heads:
-            ch = trunk_ch
-            for layer in head.layers:
-                yield plan_block(layer, ch, spec.projection_ratio), head.name
-                ch = layer.out_channels
+        return x, ch
+
+    shared = spec.heads[0].layers[:2] if spec.shared_heads else ()
+    x, ch = chain(None, spec.layers + shared, x, 3)
+    return {head.name: chain(head.name, head.layers[len(shared):], x, ch)[0]
+            for head in spec.heads}
 
 
-def _block_out_hw(plan: BlockPlan, hw: tuple[int, int]) -> tuple[int, int]:
-    h, w = hw
-    if plan.pool in ("initial", "down"):
-        return h // 2, w // 2
-    if plan.pool == "up":
-        return h * 2, w * 2
-    return h, w
+def _bn_slots(name: str, channels: int) -> dict[str, tuple[int, ...]]:
+    return {f"{name}.bn.{part}": (channels,) for part in ("gamma", "beta", "mean", "var")}
 
 
-def shape_trace(spec: ArchSpec, input_dims: tuple[int, int, int]) -> list[LayerReport]:
-    """Per-row output dims for a (3, H, W) input; H and W must be /8."""
-    c, h, w = input_dims
-    if c != 3:
-        raise ShapeError(f"expected 3 input channels, got {c}")
-    if h % 8 or w % 8:
-        raise ShapeError(f"input {h}x{w} not divisible by 8")
-    rows: list[LayerReport] = []
-    hw_by_head: dict[str | None, tuple[int, int]] = {None: (h, w)}
-    for plan, head in iter_plans(spec):
-        hw = hw_by_head.get(head) or hw_by_head[None]
-        hw = _block_out_hw(plan, hw)
-        hw_by_head[head] = hw
-        if head is None:
-            hw_by_head[None] = hw
-        rows.append(LayerReport(plan.layer.id, plan.layer.name, head,
-                                (plan.layer.out_channels, hw[0], hw[1]), 0, 0))
-    return rows
-
-
-def _slot_params(slot: ConvSlot) -> int:
-    kh, kw = slot.kernel
-    p = slot.in_ch * slot.out_ch * kh * kw
-    if slot.bn:
-        p += 2 * slot.out_ch
-    if slot.act:
-        p += slot.out_ch
-    return p
+def _plan_slots(plan: BlockPlan) -> dict[str, tuple[int, ...]]:
+    """The named parameter tensors of one block, in weight-store order."""
+    slots: dict[str, tuple[int, ...]] = {}
+    convs = plan.ext if plan.main_conv is None else plan.ext + (plan.main_conv,)
+    for s in convs:
+        slots[f"{s.name}.kernel"] = (s.out_ch, s.in_ch, *s.kernel)
+        if s.bn:
+            slots.update(_bn_slots(s.name, s.out_ch))
+        if s.act:
+            slots[f"{s.name}.slope"] = (s.out_ch,)
+    nm, out = plan.layer.name, plan.layer.out_channels
+    if plan.post_bn:
+        slots.update(_bn_slots(nm, out))
+    if plan.post_act:
+        slots[f"{nm}.out.slope"] = (out,)
+    return slots
 
 
 def _plan_params(plan: BlockPlan) -> int:
-    p = sum(_slot_params(s) for s in plan.ext)
-    if plan.main_conv is not None:
-        p += _slot_params(plan.main_conv)
-    out = plan.layer.out_channels
-    if plan.post_bn:
-        p += 2 * out
-    if plan.post_act:
-        p += out
-    return p
+    """Learned parameters: every slot except the batchnorm running statistics."""
+    return sum(math.prod(dims) for name, dims in _plan_slots(plan).items()
+               if not name.endswith((".bn.mean", ".bn.var")))
 
 
 def count_params(spec: ArchSpec) -> ArchReport:
     """Parameter ledger: conv kernels plus batchnorm scale/shift and PReLU slopes."""
     report = ArchReport()
-    for plan, head in iter_plans(spec):
+
+    def step(plan, head, _):
         p = _plan_params(plan)
         report.per_layer.append(LayerReport(plan.layer.id, plan.layer.name, head, None, p, 0))
         report.total_params += p
+
+    walk(spec, None, step)
     return report
 
 
@@ -291,6 +269,7 @@ def _slot_out_hw(slot: ConvSlot, hw) -> tuple[int, int]:
 
 
 def _plan_flops(plan: BlockPlan, in_hw) -> tuple[int, tuple[int, int]]:
+    """FLOPs of one block and its output size, chained through its ext slots."""
     fl = 0
     hw = in_hw
     for slot in plan.ext:
@@ -316,25 +295,36 @@ def _plan_flops(plan: BlockPlan, in_hw) -> tuple[int, tuple[int, int]]:
 
 
 def count_flops(spec: ArchSpec, input_dims: tuple[int, int, int]) -> ArchReport:
-    """FLOP ledger at the given input size; convs count 2 FLOPs per MAC."""
+    """Per-row output dims, params and FLOPs for a (3, H, W) input, H and W /8.
+
+    Convs count 2 FLOPs per MAC.
+    """
+    c, h, w = input_dims
+    if c != 3:
+        raise ShapeError(f"expected 3 input channels, got {c}")
+    if h % 8 or w % 8:
+        raise ShapeError(f"input {h}x{w} not divisible by 8")
     report = ArchReport(input_dims=input_dims)
-    shapes = shape_trace(spec, input_dims)  # validates divisibility
-    params = count_params(spec)
-    h, w = input_dims[1], input_dims[2]
-    hw_by_head: dict[str | None, tuple[int, int]] = {None: (h, w)}
-    for (plan, head), shape_row, param_row in zip(iter_plans(spec), shapes, params.per_layer):
-        hw = hw_by_head.get(head) or hw_by_head[None]
+
+    def step(plan, head, hw):
         fl, out_hw = _plan_flops(plan, hw)
-        hw_by_head[head] = out_hw
-        if head is None:
-            hw_by_head[None] = out_hw
-        report.per_layer.append(
-            LayerReport(plan.layer.id, plan.layer.name, head,
-                        shape_row.output_dims, param_row.params, fl)
-        )
+        p = _plan_params(plan)
+        report.per_layer.append(LayerReport(plan.layer.id, plan.layer.name, head,
+                                            (plan.layer.out_channels, *out_hw), p, fl))
+        report.total_params += p
         report.total_flops += fl
-        report.total_params += param_row.params
+        return out_hw
+
+    walk(spec, (h, w), step)
     return report
+
+
+def shape_trace(spec: ArchSpec, input_dims: tuple[int, int, int]) -> list[LayerReport]:
+    """Per-row output dims for a (3, H, W) input; H and W must be /8.
+
+    The rows are those of :func:`count_flops`, so they carry params and FLOPs too.
+    """
+    return count_flops(spec, input_dims).per_layer
 
 
 # --------------------------------------------------------------------------
@@ -344,28 +334,7 @@ def count_flops(spec: ArchSpec, input_dims: tuple[int, int, int]) -> ArchReport:
 def weight_slots(spec: ArchSpec) -> dict[str, tuple[int, ...]]:
     """Every named parameter tensor and its expected dims."""
     slots: dict[str, tuple[int, ...]] = {}
-
-    def add_slot(s: ConvSlot):
-        kh, kw = s.kernel
-        slots[f"{s.name}.kernel"] = (s.out_ch, s.in_ch, kh, kw)
-        if s.bn:
-            for part in ("gamma", "beta", "mean", "var"):
-                slots[f"{s.name}.bn.{part}"] = (s.out_ch,)
-        if s.act:
-            slots[f"{s.name}.slope"] = (s.out_ch,)
-
-    for plan, _head in iter_plans(spec):
-        for s in plan.ext:
-            add_slot(s)
-        if plan.main_conv is not None:
-            add_slot(plan.main_conv)
-        out = plan.layer.out_channels
-        nm = plan.layer.name
-        if plan.post_bn:
-            for part in ("gamma", "beta", "mean", "var"):
-                slots[f"{nm}.bn.{part}"] = (out,)
-        if plan.post_act:
-            slots[f"{nm}.out.slope"] = (out,)
+    walk(spec, None, lambda plan, head, _: slots.update(_plan_slots(plan)))
     return slots
 
 
@@ -454,15 +423,17 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
 # Forward pass
 # --------------------------------------------------------------------------
 
-def _run_slot(x, slot: ConvSlot, store, mode):
+def _run_bn(x, store, name):
+    return T.batchnorm_infer(x, store[f"{name}.bn.gamma"], store[f"{name}.bn.beta"],
+                             store[f"{name}.bn.mean"], store[f"{name}.bn.var"])
+
+
+def _run_slot(x, slot: ConvSlot, store):
     k = store[f"{slot.name}.kernel"]
     p = T.ConvParams(k, stride=slot.stride, dilation=slot.dilation, padding=slot.padding)
     x = T.conv2d(x, p) if slot.op == "conv" else T.transposed_conv2d(x, p)
     if slot.bn:
-        x = T.batchnorm_infer(
-            x, store[f"{slot.name}.bn.gamma"], store[f"{slot.name}.bn.beta"],
-            store[f"{slot.name}.bn.mean"], store[f"{slot.name}.bn.var"],
-        )
+        x = _run_bn(x, store, slot.name)
     if slot.act:
         x = T.prelu(x, store[f"{slot.name}.slope"])
     return x
@@ -471,14 +442,12 @@ def _run_slot(x, slot: ConvSlot, store, mode):
 def _run_block(x, plan: BlockPlan, store, mode, seed, pool_stack):
     nm = plan.layer.name
     if plan.pool == "initial":
-        conv = _run_slot(x, plan.ext[0], store, mode)
+        conv = _run_slot(x, plan.ext[0], store)
         pooled, _ = T.maxpool2x2_with_indices(x)
-        x = np.concatenate([conv, pooled], axis=1)
-        x = T.batchnorm_infer(x, store[f"{nm}.bn.gamma"], store[f"{nm}.bn.beta"],
-                              store[f"{nm}.bn.mean"], store[f"{nm}.bn.var"])
+        x = _run_bn(np.concatenate([conv, pooled], axis=1), store, nm)
         return T.prelu(x, store[f"{nm}.out.slope"])
     if plan.layer.kind == "conv1x1":
-        return _run_slot(x, plan.ext[0], store, mode)
+        return _run_slot(x, plan.ext[0], store)
 
     if plan.pool == "down":
         main, idx = T.maxpool2x2_with_indices(x)
@@ -486,14 +455,14 @@ def _run_block(x, plan: BlockPlan, store, mode, seed, pool_stack):
         pool_stack.append((idx, x.shape[2:]))
     elif plan.pool == "up":
         idx, out_hw = pool_stack.pop()
-        main = _run_slot(x, plan.main_conv, store, mode)
+        main = _run_slot(x, plan.main_conv, store)
         main = T.max_unpool2x2(main, idx, out_hw)
     else:
         main = x
 
     ext = x
     for slot in plan.ext:
-        ext = _run_slot(ext, slot, store, mode)
+        ext = _run_slot(ext, slot, store)
     if ext.shape != main.shape:
         raise ShapeError(
             f"{nm}: ext branch {tuple(ext.shape)} does not match main {tuple(main.shape)}"
@@ -521,31 +490,6 @@ def forward(spec: ArchSpec, store: dict[str, np.ndarray], image: np.ndarray,
         raise ShapeError(f"image spatial dims {image.shape[2:]} not divisible by 8")
 
     pool_stack: list = []
-    x = image
-    trunk_plans = [plan_block(l, i, spec.projection_ratio)
-                   for l, i in zip(spec.layers, [3] + [l.out_channels for l in spec.layers[:-1]])]
-    for plan in trunk_plans:
-        x = _run_block(x, plan, store, mode, seed, pool_stack)
-
-    outputs = {}
-    if spec.shared_heads:
-        shared = x
-        ch = spec.layers[-1].out_channels
-        for layer in spec.heads[0].layers[:2]:
-            shared = _run_block(shared, plan_block(layer, ch, spec.projection_ratio),
-                                store, mode, seed, pool_stack)
-            ch = layer.out_channels
-        for head in spec.heads:
-            outputs[head.name] = _run_block(
-                shared, plan_block(head.layers[2], ch, spec.projection_ratio),
-                store, mode, seed, pool_stack)
-    else:
-        for head in spec.heads:
-            y = x
-            ch = spec.layers[-1].out_channels
-            for layer in head.layers:
-                y = _run_block(y, plan_block(layer, ch, spec.projection_ratio),
-                               store, mode, seed, pool_stack)
-                ch = layer.out_channels
-            outputs[head.name] = y
+    outputs = walk(spec, image,
+                   lambda plan, head, x: _run_block(x, plan, store, mode, seed, pool_stack))
     return outputs["seg"], outputs["haf"], outputs["vaf"]
