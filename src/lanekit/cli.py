@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -31,13 +30,6 @@ EXIT_INVARIANT = 4
 
 _DECODE_DEFAULTS = DecodeConfig()
 _EVAL_DEFAULTS = EvalConfig()
-
-
-def _jobs(value: int | None) -> int:
-    env = os.environ.get("LANECLI_JOBS")
-    if env:
-        return max(1, int(env))
-    return max(1, value or 1)
 
 
 def _write_manifest(directory: str, command: str, config: dict,
@@ -99,28 +91,14 @@ def cmd_encode(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     res = _parse_res(args.res)
 
-    def build(item):
-        i, ann = item
+    outputs = []
+    failed = bool(errors)
+    for i, ann in enumerate(annotations):
         try:
             mask = dataset.rasterize(ann, res, args.thickness)
             af = encode_affinities(mask)
-            return i, mask, af, None
         except LanekitError as e:
-            return i, None, None, f"frame {i}: {e}"
-
-    jobs = _jobs(args.jobs)
-    items = list(enumerate(annotations))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(build, items))
-    else:
-        results = [build(it) for it in items]
-
-    outputs = []
-    failed = bool(errors)
-    for i, mask, af, err in sorted(results):
-        if err is not None:
-            print(f"encode: {err}", file=sys.stderr)
+            print(f"encode: frame {i}: {e}", file=sys.stderr)
             failed = True
             continue
         stem = os.path.join(args.out, f"{i:06d}")
@@ -302,6 +280,9 @@ def cmd_infer(args) -> int:
     image = T.load_tensor(args.image)
     if image.ndim == 3:
         image = image[None]
+    if image.ndim == 4 and image.shape[0] != 1:
+        raise FormatError(
+            f"{args.image}: expected one (3,H,W) image, got a batch of {image.shape[0]}")
     seg_logits, haf, vaf = arch.forward(spec, store, image, mode="infer")
     seg_prob = T.sigmoid(seg_logits)
     os.makedirs(args.out, exist_ok=True)
@@ -364,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--out", required=True)
     enc.add_argument("--thickness", type=int, default=2)
     enc.add_argument("--res", default="160x88")
-    enc.add_argument("--jobs", type=int, default=None)
+    enc.add_argument("--jobs", type=int, default=None,
+                     help="accepted for compatibility; frames are encoded serially")
     enc.set_defaults(func=cmd_encode)
 
     dec = sub.add_parser("decode", help="cluster seg+field maps into lane instances")

@@ -282,6 +282,15 @@ def test_infer_missing_image_exits_2(tmp_path):
                 "--out", str(tmp_path / "o")]) == 2
 
 
+def test_infer_rejects_batched_image(tmp_path, capsys):
+    img_path = str(tmp_path / "batch.aft")
+    T.save_tensor(img_path, np.zeros((2, 3, 16, 16), dtype=np.float32))
+    out = str(tmp_path / "o")
+    assert run(["infer", "--random-init", "--image", img_path, "--out", out]) == 2
+    assert "batch of 2" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_infer_misshaped_weights_exit_2(tmp_path):
     spec = build_enet21()
     store = random_weights(spec, seed=0)
