@@ -11,6 +11,7 @@ format used throughout the toolkit is defined by :func:`save_tensor` /
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -326,7 +327,7 @@ def tensor_from_bytes(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     offset += 4 * rank
     if min(dims) < 1:
         raise FormatError(f"non-positive dim in {dims}")
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # Python ints: np.prod would wrap on huge dims
     nbytes = 4 * count
     if len(blob) < offset + nbytes:
         raise FormatError(

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -307,3 +309,11 @@ def test_aft_rejects_truncation(tmp_path):
         f.write(blob[:-5])
     with pytest.raises(FormatError):
         T.load_tensor(path)
+
+
+@pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (2**21, 2**21, 2**22)])
+def test_aft_rejects_element_count_past_payload(dims):
+    # both products overflow int64 (the second wraps to exactly 0)
+    blob = T.AFT_MAGIC + struct.pack("<I", len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+    with pytest.raises(FormatError, match="truncated tensor payload"):
+        T.tensor_from_bytes(blob + b"\x00" * 16)
