@@ -1,6 +1,6 @@
 """Horizontal/vertical affinity-field encoding and lane-instance decoding.
 
-Encoding walks each lane of a label mask row by row, bottom to top.  Every
+Encoding reads a label mask as one pixel run per (lane, row).  Every
 lane pixel gets a horizontal value in {-1, 0, +1} pointing toward the lane's
 center in its own row, and a 2-D unit vector pointing toward the lane's
 center in the row above (the top row of a lane points straight up).
@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,8 +87,18 @@ class DecodedLanes:
         return json.dumps(payload)
 
 
-def validate_mask(mask: np.ndarray) -> int:
-    """Check the label-mask contract; returns the lane count.
+class MaskRuns(NamedTuple):
+    """One entry per (lane, row) run of a label mask, in ascending key order."""
+
+    lane_count: int
+    key: np.ndarray        # lane * H + row
+    count: np.ndarray      # pixels in the run
+    col_min: np.ndarray
+    col_max: np.ndarray
+
+
+def validate_mask(mask: np.ndarray) -> MaskRuns:
+    """Check the label-mask contract; returns the mask's run table.
 
     Lane ids must be contiguous 1..L and each lane's pixels in any row must
     form one contiguous run.
@@ -97,46 +108,45 @@ def validate_mask(mask: np.ndarray) -> int:
         raise CodecError(f"mask must be 2-D, got shape {tuple(mask.shape)}")
     ids = np.unique(mask)
     ids = ids[ids > 0]
-    count = len(ids)
-    if count and not np.array_equal(ids, np.arange(1, count + 1)):
+    if len(ids) and not np.array_equal(ids, np.arange(1, len(ids) + 1)):
         raise CodecError(f"lane ids must be contiguous 1..L, got {ids.tolist()}")
-    for lane in ids:
-        rows, cols = np.nonzero(mask == lane)
-        for r in np.unique(rows):
-            xs = cols[rows == r]
-            if xs.max() - xs.min() + 1 != len(xs):
-                raise CodecError(f"lane {lane} row {r} is not a contiguous run")
-    return count
-
-
-def _row_center(xs: np.ndarray) -> float:
-    # nearest half-pixel keeps centers exact for integer runs
-    return round(2.0 * float(xs.mean())) / 2.0
+    h = mask.shape[0]
+    rows, cols = np.nonzero(mask > 0)
+    keys = mask[rows, cols].astype(np.int64) * h + rows
+    # a stable sort keeps each run's columns ascending, so its ends are min/max
+    order = np.argsort(keys, kind="stable")
+    keys, cols = keys[order], cols[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    ends = np.flatnonzero(np.diff(keys, append=-1)) + 1
+    runs = MaskRuns(len(ids), keys[starts], ends - starts, cols[starts], cols[ends - 1])
+    bad = np.flatnonzero(runs.col_max - runs.col_min + 1 != runs.count)
+    if len(bad):
+        lane, row = divmod(runs.key[bad[0]], h)
+        raise CodecError(f"lane {ids[lane - 1]} row {row} is not a contiguous run")
+    return runs
 
 
 def encode_affinities(mask: np.ndarray) -> AffinityPair:
     """Ground-truth fields from a label mask (0 = background, k = lane k)."""
     mask = np.asarray(mask)
-    lane_count = validate_mask(mask)
+    runs = validate_mask(mask)
     h, w = mask.shape
+    rows, cols = np.nonzero(mask > 0)
+    run = np.searchsorted(runs.key, mask[rows, cols].astype(np.int64) * h + rows)
+    # every run is contiguous, so its mean column is the midpoint of its ends
+    center = (runs.col_min + runs.col_max) / 2.0
+    # the run above is the previous run when that is the same lane, one row up
+    has_up = np.r_[False, np.diff(runs.key) == 1] & (runs.key % h != 0)
+    up = np.r_[0.0, center[:-1]]
+    xs = cols.astype(np.float64)
+    # a lane's top row points straight up: dx = 0 gives (0, -1)
+    dx = np.where(has_up[run], up[run] - xs, 0.0)
+    norm = np.sqrt(dx * dx + 1.0)
     haf = np.zeros((h, w), dtype=np.float32)
     vaf = np.zeros((2, h, w), dtype=np.float32)
-    for lane in range(1, lane_count + 1):
-        rows, cols = np.nonzero(mask == lane)
-        xs_by_row = {int(r): cols[rows == r] for r in np.unique(rows)}
-        centers = {r: _row_center(xs) for r, xs in xs_by_row.items()}
-        for r in sorted(xs_by_row, reverse=True):
-            xs = xs_by_row[r]
-            haf[r, xs] = np.sign(centers[r] - xs).astype(np.float32)
-            up = centers.get(r - 1)
-            if up is None:
-                vaf[0, r, xs] = 0.0
-                vaf[1, r, xs] = -1.0
-            else:
-                dx = up - xs.astype(np.float64)
-                norm = np.sqrt(dx * dx + 1.0)
-                vaf[0, r, xs] = (dx / norm).astype(np.float32)
-                vaf[1, r, xs] = (-1.0 / norm).astype(np.float32)
+    haf[rows, cols] = np.sign(center[run] - xs)
+    vaf[0, rows, cols] = dx / norm
+    vaf[1, rows, cols] = -1.0 / norm
     return AffinityPair(haf, vaf)
 
 
@@ -171,9 +181,7 @@ class LaneTrack:
     lane_id: int
     pixel_xs: np.ndarray      # xs of the most recent assigned row
     row: int                  # row index of those pixels
-    gap: int = 0
-    rows_covered: int = 1
-    points: list = field(default_factory=list)
+    points: list = field(default_factory=list)   # one (x, y) per assigned row
 
 
 def association_error(track: LaneTrack, centroid_x: float, row_above: int,
@@ -243,13 +251,6 @@ def decode(seg_prob: np.ndarray, af: AffinityPair,
     active: list[LaneTrack] = []
     finished: list[LaneTrack] = []
     next_id = 1
-
-    def start_track(cl: np.ndarray, row: int) -> LaneTrack:
-        nonlocal next_id
-        t = LaneTrack(next_id, cl, row, points=[(float(cl.mean()), row)])
-        next_id += 1
-        return t
-
     for row in range(h - 1, -1, -1):
         clusters = cluster_row_haf(af.haf[row], fg[row], cfg.min_cluster_size)
         if clusters:
@@ -263,39 +264,30 @@ def decode(seg_prob: np.ndarray, af: AffinityPair,
                 cl = clusters[assignment[ti]]
                 track.pixel_xs = cl
                 track.row = row
-                track.gap = 0
-                track.rows_covered += 1
                 track.points.append((float(cl.mean()), row))
                 cluster_map[row, cl] = track.lane_id
                 survivors.append(track)
+            elif track.row - row > cfg.max_gap_rows:
+                finished.append(track)
             else:
-                track.gap += 1
-                if track.gap > cfg.max_gap_rows:
-                    finished.append(track)
-                else:
-                    survivors.append(track)
+                survivors.append(track)
         matched = set(assignment.values())
         for ci, cl in enumerate(clusters):
             if ci in matched:
                 continue
-            track = start_track(cl, row)
+            track = LaneTrack(next_id, cl, row, points=[(float(cl.mean()), row)])
+            next_id += 1
             cluster_map[row, cl] = track.lane_id
             survivors.append(track)
         active = survivors
     finished.extend(active)
 
-    finished.sort(key=lambda t: t.lane_id)
-    lanes: list[DecodedLane] = []
+    kept = sorted((t for t in finished if len(t.points) >= cfg.min_lane_rows),
+                  key=lambda t: t.lane_id)
     relabel = np.zeros(next_id, dtype=np.int32)
-    new_id = 1
-    for track in finished:
-        if track.rows_covered < cfg.min_lane_rows:
-            continue
-        relabel[track.lane_id] = new_id
-        lanes.append(DecodedLane(new_id, tuple(track.points)))
-        new_id += 1
-    cluster_map = relabel[cluster_map]
-    return DecodedLanes(tuple(lanes), cluster_map)
+    relabel[[t.lane_id for t in kept]] = np.arange(1, len(kept) + 1)
+    lanes = tuple(DecodedLane(i, tuple(t.points)) for i, t in enumerate(kept, 1))
+    return DecodedLanes(lanes, relabel[cluster_map])
 
 
 def best_label_agreement(gt_mask: np.ndarray, cluster_map: np.ndarray) -> float:
@@ -316,12 +308,11 @@ def best_label_agreement(gt_mask: np.ndarray, cluster_map: np.ndarray) -> float:
     pred_ids = pred_ids[pred_ids > 0]
     if len(pred_ids) == 0:
         return 0.0
+    labels = cluster_map[fg]
+    claimed = labels > 0
     contingency = np.zeros((len(gt_ids), len(pred_ids)), dtype=np.int64)
-    for gi, g in enumerate(gt_ids):
-        sel = fg & (gt_mask == g)
-        labels = cluster_map[sel]
-        for pi, p in enumerate(pred_ids):
-            contingency[gi, pi] = int((labels == p).sum())
+    np.add.at(contingency, (np.searchsorted(gt_ids, gt_mask[fg][claimed]),
+                            np.searchsorted(pred_ids, labels[claimed])), 1)
     small, large = sorted((len(gt_ids), len(pred_ids)))
     if large <= 8:
         mat = contingency if len(gt_ids) <= len(pred_ids) else contingency.T

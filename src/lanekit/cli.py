@@ -176,7 +176,6 @@ def cmd_arch(args) -> int:
     spec = arch.build_enet21(shared_heads=args.shared_heads)
     h, w = _parse_res(args.input)
     report = arch.count_flops(spec, (3, h, w))
-    sections = [s.strip() for s in args.report.split(",") if s.strip()]
     if args.format == "json":
         payload = {
             "version": __version__,
@@ -193,24 +192,12 @@ def cmd_arch(args) -> int:
         }
         _emit(payload)
         return EXIT_OK
-    header = f"{'row':>3}  {'layer':<28}"
-    if "shapes" in sections:
-        header += f"{'output':>14}"
-    if "params" in sections:
-        header += f"{'params':>10}"
-    if "flops" in sections:
-        header += f"{'flops':>14}"
+    header = f"{'row':>3}  {'layer':<28}{'output':>14}{'params':>10}{'flops':>14}"
     print(header)
     print("-" * len(header))
     for r in report.per_layer:
-        line = f"{r.id:>3}  {r.name:<28}"
-        if "shapes" in sections:
-            line += f"{_format_dims(r.output_dims):>14}"
-        if "params" in sections:
-            line += f"{r.params:>10}"
-        if "flops" in sections:
-            line += f"{r.flops:>14}"
-        print(line)
+        print(f"{r.id:>3}  {r.name:<28}{_format_dims(r.output_dims):>14}"
+              f"{r.params:>10}{r.flops:>14}")
     print("-" * len(header))
     print(f"total params: {report.total_params:,} ({report.total_params / 1e6:.3f}M)")
     print(f"total flops:  {report.total_flops:,} ({report.total_flops / 1e9:.3f}G)")
@@ -295,17 +282,17 @@ def cmd_infer(args) -> int:
     for name, arr in files.items():
         T.save_tensor(os.path.join(args.out, name), arr)
     outputs = [os.path.join(args.out, n) for n in files]
+    config = {"weights": args.weights, "random_init": args.random_init,
+              "seed": args.seed, "shared_heads": args.shared_heads, "decode": args.decode}
     if args.decode:
         cfg = DecodeConfig(fg_threshold=args.fg_thresh, assoc_threshold=args.assoc_thresh)
         result = decode(seg_prob[0, 0], AffinityPair(haf[0, 0], vaf[0]), cfg)
         lanes_path = os.path.join(args.out, "lanes.json")
         T.atomic_write_bytes(lanes_path, (result.to_json() + "\n").encode())
         outputs.append(lanes_path)
+        config.update(cfg.__dict__)
         print(f"decoded {len(result.lanes)} lanes")
-    _write_manifest(args.out, "infer",
-                    {"weights": args.weights, "random_init": args.random_init,
-                     "seed": args.seed, "shared_heads": args.shared_heads,
-                     "decode": args.decode},
+    _write_manifest(args.out, "infer", config,
                     [p for p in (args.weights, args.image) if p], outputs)
     return EXIT_OK
 
@@ -373,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     ar = sub.add_parser("arch", help="network shape/param/FLOP report")
     ar.add_argument("--input", default="640x352")
     ar.add_argument("--shared-heads", action="store_true")
-    ar.add_argument("--report", default="shapes,params,flops")
     ar.add_argument("--format", choices=("table", "json"), default="table")
     ar.set_defaults(func=cmd_arch)
 

@@ -77,16 +77,6 @@ def f1_from_rates(accuracy: float, fp_rate: float, fn_rate: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _lane_scores(pred_xs, gt_xs, px_threshold):
-    """(correct vertex count, gt vertex count) for one pred/gt lane pair."""
-    gt_present = gt_xs >= 0
-    n_gt = int(gt_present.sum())
-    if n_gt == 0:
-        return 0, 0
-    ok = gt_present & (pred_xs >= 0) & (np.abs(pred_xs - gt_xs) <= px_threshold)
-    return int(ok.sum()), n_gt
-
-
 def evaluate_frame(pred: LaneAnnotation, gt: LaneAnnotation,
                    cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Score one frame's predicted lanes against its annotation."""
@@ -95,18 +85,22 @@ def evaluate_frame(pred: LaneAnnotation, gt: LaneAnnotation,
             f"h_samples differ between prediction and ground truth "
             f"({len(pred.h_samples)} vs {len(gt.h_samples)} entries)"
         )
-    pred_lanes = [np.asarray(l, dtype=np.float64) for l in pred.lanes]
-    gt_lanes = [np.asarray(l, dtype=np.float64) for l in gt.lanes]
+    n = len(gt.h_samples)
+    pred_xs = np.asarray(pred.lanes, dtype=np.float64).reshape(len(pred.lanes), n)
+    gt_xs = np.asarray(gt.lanes, dtype=np.float64).reshape(len(gt.lanes), n)
     # ground-truth lanes with no present vertex carry no signal; drop them
-    gt_lanes = [g for g in gt_lanes if (g >= 0).any()]
+    gt_xs = gt_xs[(gt_xs >= 0).any(axis=1)]
+    gt_present = gt_xs >= 0
+    n_gt = gt_present.sum(axis=1)
 
-    pairs = []
-    for pi, p in enumerate(pred_lanes):
-        for gi, g in enumerate(gt_lanes):
-            n_ok, n_gt = _lane_scores(p, g, cfg.px_threshold)
-            acc = n_ok / n_gt if n_gt else 0.0
-            pairs.append((-acc, pi, gi, n_ok))
-    pairs.sort()
+    # (pred, gt, sample): a vertex is correct where both are present and close
+    ok = (gt_present & (pred_xs[:, None] >= 0)
+          & (np.abs(pred_xs[:, None] - gt_xs) <= cfg.px_threshold))
+    hits = ok.sum(axis=2)
+    acc = (hits / n_gt).tolist()
+    hits = hits.tolist()
+    pairs = sorted((-acc[pi][gi], pi, gi, hits[pi][gi])
+                   for pi in range(len(pred_xs)) for gi in range(len(gt_xs)))
 
     matched_p: set[int] = set()
     matched_g: set[int] = set()
@@ -120,11 +114,10 @@ def evaluate_frame(pred: LaneAnnotation, gt: LaneAnnotation,
         correct += n_ok
         if -neg_acc < cfg.lane_match_threshold:
             false_lanes += 1
-    false_lanes += len(pred_lanes) - len(matched_p)
-    missed = len(gt_lanes) - len(matched_g)
-    gt_vertices = int(sum((g >= 0).sum() for g in gt_lanes))
-    counts = EvalCounts(correct, gt_vertices, false_lanes, len(pred_lanes),
-                        missed, len(gt_lanes))
+    false_lanes += len(pred_xs) - len(matched_p)
+    missed = len(gt_xs) - len(matched_g)
+    counts = EvalCounts(correct, int(n_gt.sum()), false_lanes, len(pred_xs),
+                        missed, len(gt_xs))
     return _result_from_counts(counts)
 
 

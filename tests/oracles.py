@@ -214,6 +214,33 @@ def optimal_match_counts(pred_lanes, gt_lanes, px_threshold, lane_match_threshol
     return (correct, gt_vertices, false_lanes, np_, ng - k, ng)
 
 
+def best_label_agreement_ref(gt_mask, cluster_map):
+    """Agreement under the best injective label map, by scalar counting and an
+    exhaustive search over every injection of the smaller id set."""
+    h, w = gt_mask.shape
+    gt_ids = sorted({int(gt_mask[y, x]) for y in range(h) for x in range(w)
+                     if gt_mask[y, x] > 0})
+    total = sum(1 for y in range(h) for x in range(w) if gt_mask[y, x] > 0)
+    if total == 0:
+        return 1.0
+    pred_ids = sorted({int(cluster_map[y, x]) for y in range(h) for x in range(w)
+                       if gt_mask[y, x] > 0 and cluster_map[y, x] > 0})
+    counts = {}
+    for y in range(h):
+        for x in range(w):
+            g, p = int(gt_mask[y, x]), int(cluster_map[y, x])
+            if g > 0 and p > 0:
+                counts[g, p] = counts.get((g, p), 0) + 1
+    best = 0
+    if len(gt_ids) <= len(pred_ids):
+        for perm in itertools.permutations(pred_ids, len(gt_ids)):
+            best = max(best, sum(counts.get((g, p), 0) for g, p in zip(gt_ids, perm)))
+    else:
+        for perm in itertools.permutations(gt_ids, len(pred_ids)):
+            best = max(best, sum(counts.get((g, p), 0) for g, p in zip(perm, pred_ids)))
+    return best / total
+
+
 BATCHNORM_EPS = 1e-5
 
 

@@ -7,7 +7,7 @@ from lanekit import affinity as af
 from lanekit import synth
 from lanekit.errors import CodecError, ShapeError
 
-from oracles import association_error_ref, encode_ref
+from oracles import association_error_ref, best_label_agreement_ref, encode_ref
 
 
 def vertical_lane_mask(width=3, rows=10, h=16, w=24, lane=1, x0=10):
@@ -54,10 +54,12 @@ def test_encode_diagonal_lane_45_degrees():
 def test_encode_matches_rederivation_oracle():
     for seed in range(100):
         mask, _ = synth.generate(synth.random_scene_spec(seed + 9000))
-        pair = af.encode_affinities(mask)
         ref_haf, ref_vaf = encode_ref(mask)
-        assert np.abs(pair.haf - ref_haf).max() <= 1e-5
-        assert np.abs(pair.vaf - ref_vaf).max() <= 1e-5
+        # the integer mask, and the float32 coding it has when read from .aft
+        for coded in (mask, mask.astype(np.float32)):
+            pair = af.encode_affinities(coded)
+            assert np.abs(pair.haf - ref_haf).max() <= 1e-5
+            assert np.abs(pair.vaf - ref_vaf).max() <= 1e-5
 
 
 def test_encode_field_invariants():
@@ -95,6 +97,30 @@ def test_encode_rejects_split_row_run():
     mask[2, 3] = 1  # same lane, same row, gap between
     with pytest.raises(CodecError):
         af.encode_affinities(mask)
+
+
+def test_encode_reports_lowest_lane_then_lowest_row():
+    mask = np.zeros((8, 12), dtype=np.int32)
+    mask[5:, 8:10] = 2
+    mask[1, 8] = mask[1, 10] = 2     # lane 2 row 1: split run
+    mask[2:, 1:3] = 1
+    mask[6, 4] = 1                   # lane 1 row 6: split run
+    mask[4, 2], mask[4, 3] = 0, 1    # lane 1 row 4: split run
+    with pytest.raises(CodecError, match=r"^lane 1 row 4 is not a contiguous run$"):
+        af.validate_mask(mask)
+
+
+def test_validate_mask_run_table():
+    mask = np.zeros((6, 8), dtype=np.int32)
+    mask[3:, 1:4] = 1
+    mask[4, 6] = 2
+    runs = af.validate_mask(mask)
+    assert runs.lane_count == 2
+    assert runs.key.tolist() == [6 + 3, 6 + 4, 6 + 5, 2 * 6 + 4]   # lane * H + row
+    assert runs.count.tolist() == [3, 3, 3, 1]
+    assert runs.col_min.tolist() == [1, 1, 1, 6]
+    assert runs.col_max.tolist() == [3, 3, 3, 6]
+    assert af.validate_mask(np.zeros((3, 3))).lane_count == 0
 
 
 def test_encode_rejects_non_contiguous_ids():
@@ -265,6 +291,37 @@ def test_decode_survives_short_gap():
     assert len(decoded.lanes) == 1
     rows_covered = np.unique(np.nonzero(decoded.cluster_map)[0])
     assert 9 in rows_covered and 11 in rows_covered
+
+
+@pytest.mark.parametrize("max_gap", [0, 2, 3])
+def test_decode_bridges_at_most_max_gap_rows(max_gap):
+    mask = vertical_lane_mask(width=2, rows=22, h=24, w=16)
+    pair = af.encode_affinities(mask)
+    cfg = af.DecodeConfig(max_gap_rows=max_gap)
+    for occluded, lanes in ((max_gap, 1), (max_gap + 1, 2)):
+        seg = (mask > 0).astype(np.float32)
+        seg[12 - occluded:12] = 0.0  # leaves >= 6 lane rows above, 12 below
+        decoded = af.decode(seg, pair, cfg)
+        assert len(decoded.lanes) == lanes, (max_gap, occluded)
+
+
+@pytest.mark.parametrize("min_rows", [1, 3, 5])
+def test_decode_keeps_lanes_of_at_least_min_lane_rows(min_rows):
+    cfg = af.DecodeConfig(min_lane_rows=min_rows)
+    for rows, lanes in ((min_rows - 1, 0), (min_rows, 1)):
+        mask = vertical_lane_mask(width=2, rows=rows, h=12, w=16)
+        decoded = af.decode((mask > 0).astype(np.float32), af.encode_affinities(mask), cfg)
+        assert len(decoded.lanes) == lanes, (min_rows, rows)
+        assert (decoded.cluster_map > 0).sum() == 2 * rows * lanes
+
+
+def test_best_label_agreement_matches_exhaustive_oracle():
+    rng = np.random.default_rng(3)
+    for trial in range(150):
+        h, w = (int(v) for v in rng.integers(1, 10, 2))
+        gt = rng.integers(0, int(rng.integers(1, 8)), (h, w))    # up to 6 lane ids
+        pred = rng.integers(0, int(rng.integers(1, 8)), (h, w))
+        assert af.best_label_agreement(gt, pred) == best_label_agreement_ref(gt, pred), trial
 
 
 def test_decode_json_schema():

@@ -277,6 +277,24 @@ def test_infer_random_init_shapes_and_determinism(tmp_path):
     assert os.path.exists(os.path.join(out_a, "lanes.json"))
 
 
+def test_infer_manifest_records_decode_settings(tmp_path):
+    img_path = str(tmp_path / "img.aft")
+    T.save_tensor(img_path, np.random.default_rng(0).random((3, 64, 64)).astype(np.float32))
+    configs = {}
+    for name, extra in (("plain", []), ("d5", ["--decode"]),
+                        ("d9", ["--decode", "--fg-thresh", "0.9", "--assoc-thresh", "7"])):
+        out = str(tmp_path / name)
+        assert run(["infer", "--random-init", "--seed", "5", "--image", img_path,
+                    "--out", out, *extra]) == 0
+        with open(os.path.join(out, "manifest.json")) as f:
+            configs[name] = json.load(f)["config"]
+    base = {"weights": None, "random_init": True, "seed": 5, "shared_heads": False}
+    assert configs["plain"] == {**base, "decode": False}
+    assert configs["d5"] == {**base, "decode": True, **cli.DecodeConfig().__dict__}
+    assert configs["d9"] == {**base, "decode": True, **cli.DecodeConfig(
+        fg_threshold=0.9, assoc_threshold=7.0).__dict__}
+
+
 def test_infer_missing_image_exits_2(tmp_path):
     assert run(["infer", "--random-init", "--image", str(tmp_path / "no.aft"),
                 "--out", str(tmp_path / "o")]) == 2

@@ -108,6 +108,21 @@ def test_greedy_equals_exhaustive_on_small_frames():
         assert res.counts._tuple() == ref, f"trial {trial}"
 
 
+def test_frame_without_h_samples_matches_exhaustive():
+    gt = LaneAnnotation("frame.jpg", (), ((), ()))
+    pred = LaneAnnotation("frame.jpg", (), ((), (), ()))
+    res = E.evaluate_frame(pred, gt)
+    assert res.counts._tuple() == optimal_match_counts(pred.lanes, gt.lanes, 20.0, 0.85)
+    assert res.counts._tuple() == (0, 0, 3, 3, 0, 0)
+
+
+def test_frame_without_predictions_matches_exhaustive():
+    gt_lanes = [straight_lane(300), straight_lane(700, present=range(10, 40))]
+    res = E.evaluate_frame(make_ann([]), make_ann(gt_lanes))
+    assert res.counts._tuple() == optimal_match_counts([], gt_lanes, 20.0, 0.85)
+    assert (res.accuracy, res.fp_rate, res.fn_rate) == (0.0, 0.0, 1.0)
+
+
 def test_mismatched_h_samples_rejected():
     gt = make_ann([straight_lane(300)])
     pred = LaneAnnotation("frame.jpg", tuple(range(160, 710, 10)),
