@@ -11,13 +11,13 @@ flips from non-positive to positive, then stitch clusters onto lane tracks
 using the vertical field.  A cluster is charged, per active lane, the mean
 residual between the cluster centroid and the lane pixels projected along
 their predicted vertical vectors; lanes and clusters are matched greedily in
-ascending error, one-to-one.  Unmatched clusters seed new lanes, so the lane
-count is never assumed.  Rows are inherently sequential (each depends on the
-assignment below it); frames, not rows, are the unit of parallelism.
+ascending error, one-to-one (`matching.greedy_pairs`).  Unmatched clusters
+seed new lanes, so the lane count is never assumed.  Rows are inherently
+sequential (each depends on the assignment below it); frames, not rows, are
+the unit of parallelism.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CodecError, ShapeError
+from .matching import greedy_pairs, max_assignment
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,9 @@ class DecodeConfig:
             raise ValueError(f"fg_threshold must be in (0,1), got {self.fg_threshold}")
         if self.assoc_threshold <= 0:
             raise ValueError(f"assoc_threshold must be positive, got {self.assoc_threshold}")
+        for name, low in (("min_cluster_size", 1), ("min_lane_rows", 1), ("max_gap_rows", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ def validate_mask(mask: np.ndarray) -> MaskRuns:
     bad = np.flatnonzero(runs.col_max - runs.col_min + 1 != runs.count)
     if len(bad):
         lane, row = divmod(runs.key[bad[0]], h)
-        raise CodecError(f"lane {ids[lane - 1]} row {row} is not a contiguous run")
+        raise CodecError(f"lane {lane} row {row} is not a contiguous run")
     return runs
 
 
@@ -163,9 +167,7 @@ def cluster_row_haf(haf_row: np.ndarray, fg_row: np.ndarray,
     prev = None
     for c in cols:
         cur = haf_row[c]
-        if clusters and prev is not None and prev <= 0.0 and cur > 0.0:
-            clusters.append([int(c)])
-        elif not clusters:
+        if not clusters or (prev <= 0.0 and cur > 0.0):
             clusters.append([int(c)])
         else:
             clusters[-1].append(int(c))
@@ -211,23 +213,9 @@ def associate_clusters_vaf(tracks: list[LaneTrack], clusters: list[np.ndarray],
     association error and rejected above assoc_threshold.
     """
     centroids = [float(cl.mean()) for cl in clusters]
-    scored = []
-    for ti, track in enumerate(tracks):
-        for ci, cx in enumerate(centroids):
-            err = association_error(track, cx, row_above, vaf)
-            if err <= assoc_threshold:
-                scored.append((err, ti, ci))
-    scored.sort()
-    taken_t: set[int] = set()
-    taken_c: set[int] = set()
-    assignment: dict[int, int] = {}
-    for err, ti, ci in scored:
-        if ti in taken_t or ci in taken_c:
-            continue
-        assignment[ti] = ci
-        taken_t.add(ti)
-        taken_c.add(ci)
-    return assignment
+    err = np.array([[association_error(track, cx, row_above, vaf) for cx in centroids]
+                    for track in tracks]).reshape(len(tracks), len(clusters))
+    return greedy_pairs(err, err <= assoc_threshold)
 
 
 def decode(seg_prob: np.ndarray, af: AffinityPair,
@@ -292,7 +280,7 @@ def decode(seg_prob: np.ndarray, af: AffinityPair,
 
 def best_label_agreement(gt_mask: np.ndarray, cluster_map: np.ndarray) -> float:
     """Fraction of ground-truth foreground pixels whose decoded label matches
-    the lane id under the best injective label permutation."""
+    the lane id under the best injective label permutation, solved exactly."""
     gt_mask = np.asarray(gt_mask)
     cluster_map = np.asarray(cluster_map)
     if gt_mask.shape != cluster_map.shape:
@@ -306,26 +294,9 @@ def best_label_agreement(gt_mask: np.ndarray, cluster_map: np.ndarray) -> float:
     gt_ids = np.unique(gt_mask[fg])
     pred_ids = np.unique(cluster_map[fg])
     pred_ids = pred_ids[pred_ids > 0]
-    if len(pred_ids) == 0:
-        return 0.0
     labels = cluster_map[fg]
     claimed = labels > 0
     contingency = np.zeros((len(gt_ids), len(pred_ids)), dtype=np.int64)
     np.add.at(contingency, (np.searchsorted(gt_ids, gt_mask[fg][claimed]),
                             np.searchsorted(pred_ids, labels[claimed])), 1)
-    small, large = sorted((len(gt_ids), len(pred_ids)))
-    if large <= 8:
-        mat = contingency if len(gt_ids) <= len(pred_ids) else contingency.T
-        best = 0
-        for perm in itertools.permutations(range(large), small):
-            best = max(best, sum(mat[i, j] for i, j in enumerate(perm)))
-    else:
-        # greedy fallback for implausibly fragmented decodes
-        mat = contingency.copy()
-        best = 0
-        while mat.size and mat.max() > 0:
-            gi, pi = np.unravel_index(mat.argmax(), mat.shape)
-            best += int(mat[gi, pi])
-            mat[gi, :] = -1
-            mat[:, pi] = -1
-    return best / total
+    return sum(int(contingency[g, p]) for g, p in max_assignment(contingency)) / total

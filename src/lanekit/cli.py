@@ -68,16 +68,11 @@ def _emit(obj: dict) -> None:
 def _load_map(path: str, channels: int) -> np.ndarray:
     """Load an .aft map and squeeze it to (H, W) or (C, H, W)."""
     arr = T.load_tensor(path)
-    while arr.ndim > 3 and arr.shape[0] == 1:
+    ndim = 2 if channels == 1 else 3
+    while arr.ndim > ndim and arr.shape[0] == 1:
         arr = arr[0]
-    if channels == 1:
-        if arr.ndim == 3 and arr.shape[0] == 1:
-            arr = arr[0]
-        if arr.ndim != 2:
-            raise FormatError(f"{path}: expected a 1-channel map, got {arr.shape}")
-    else:
-        if arr.ndim != 3 or arr.shape[0] != channels:
-            raise FormatError(f"{path}: expected a {channels}-channel map, got {arr.shape}")
+    if arr.ndim != ndim or (channels > 1 and arr.shape[0] != channels):
+        raise FormatError(f"{path}: expected a {channels}-channel map, got {arr.shape}")
     return arr
 
 

@@ -70,15 +70,23 @@ def parse_tusimple(path: str, error_sink: list[str] | None = None) -> list[LaneA
         else:
             log.warning("%s: %s", path, text)
 
-    with open(path, "r", encoding="utf-8") as f:
+    # undecodable bytes become lone surrogates, so only their lines fail to re-encode
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                line.encode("utf-8")
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                report(lineno, f"invalid JSON ({e.msg})")
+            except UnicodeEncodeError:
+                report(lineno, "not valid UTF-8")
+                continue
+            except (ValueError, RecursionError) as e:
+                report(lineno, f"invalid JSON ({getattr(e, 'msg', e)})")
+                continue
+            if not isinstance(obj, dict):
+                report(lineno, f"expected a JSON object, got {type(obj).__name__}")
                 continue
             missing = [k for k in _REQUIRED_KEYS if k not in obj]
             if missing:
@@ -88,7 +96,7 @@ def parse_tusimple(path: str, error_sink: list[str] | None = None) -> list[LaneA
                 annotations.append(
                     LaneAnnotation(str(obj["raw_file"]), obj["h_samples"], obj["lanes"])
                 )
-            except (FormatError, TypeError, ValueError) as e:
+            except (FormatError, TypeError, ValueError, OverflowError) as e:
                 report(lineno, str(e))
     return annotations
 

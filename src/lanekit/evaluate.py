@@ -15,6 +15,7 @@ import numpy as np
 
 from .dataset import LaneAnnotation
 from .errors import EvalError
+from .matching import greedy_pairs
 
 
 @dataclass(frozen=True)
@@ -97,25 +98,13 @@ def evaluate_frame(pred: LaneAnnotation, gt: LaneAnnotation,
     ok = (gt_present & (pred_xs[:, None] >= 0)
           & (np.abs(pred_xs[:, None] - gt_xs) <= cfg.px_threshold))
     hits = ok.sum(axis=2)
-    acc = (hits / n_gt).tolist()
-    hits = hits.tolist()
-    pairs = sorted((-acc[pi][gi], pi, gi, hits[pi][gi])
-                   for pi in range(len(pred_xs)) for gi in range(len(gt_xs)))
-
-    matched_p: set[int] = set()
-    matched_g: set[int] = set()
-    correct = 0
-    false_lanes = 0
-    for neg_acc, pi, gi, n_ok in pairs:
-        if pi in matched_p or gi in matched_g:
-            continue
-        matched_p.add(pi)
-        matched_g.add(gi)
-        correct += n_ok
-        if -neg_acc < cfg.lane_match_threshold:
-            false_lanes += 1
-    false_lanes += len(pred_xs) - len(matched_p)
-    missed = len(gt_xs) - len(matched_g)
+    acc = hits / n_gt
+    pairs = greedy_pairs(-acc, np.ones(acc.shape, dtype=bool))
+    correct = sum(int(hits[p, g]) for p, g in pairs.items())
+    # unmatched predictions and matches below the lane threshold are false
+    false_lanes = len(pred_xs) - sum(int(acc[p, g] >= cfg.lane_match_threshold)
+                                     for p, g in pairs.items())
+    missed = len(gt_xs) - len(pairs)
     counts = EvalCounts(correct, int(n_gt.sum()), false_lanes, len(pred_xs),
                         missed, len(gt_xs))
     return _result_from_counts(counts)

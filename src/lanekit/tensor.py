@@ -51,12 +51,10 @@ class ConvParams:
     """Convolution parameters.
 
     kernel is laid out (out_ch, in_ch, kH, kW) for both the forward and the
-    transposed op.  bias is optional; the lane-detection network never uses
-    one.
+    transposed op.  There is no bias: the lane-detection network is bias-free.
     """
 
     kernel: np.ndarray
-    bias: np.ndarray | None = None
     stride: tuple[int, int] = (1, 1)
     dilation: tuple[int, int] = (1, 1)
     padding: tuple[int, int] = (0, 0)
@@ -67,13 +65,6 @@ class ConvParams:
             raise ShapeError(
                 f"kernel must be 4-D (out,in,kH,kW), got {tuple(self.kernel.shape)}"
             )
-        if self.bias is not None:
-            b = as_f32(self.bias).reshape(-1)
-            if b.shape[0] != self.kernel.shape[0]:
-                raise ShapeError(
-                    f"bias length {b.shape[0]} != out_channels {self.kernel.shape[0]}"
-                )
-            object.__setattr__(self, "bias", b)
         for field in ("stride", "dilation", "padding"):
             object.__setattr__(self, field, _pair(getattr(self, field)))
         if min(self.stride) < 1 or min(self.dilation) < 1 or min(self.padding) < 0:
@@ -141,10 +132,7 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
         writeable=False,
     )
     out = np.tensordot(p.kernel, windows, axes=([1, 2, 3], [1, 2, 3]))
-    out = np.ascontiguousarray(out.transpose(1, 0, 2, 3), dtype=np.float32)
-    if p.bias is not None:
-        out += p.bias[None, :, None, None]
-    return out
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3), dtype=np.float32)
 
 
 def transposed_conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
@@ -174,10 +162,7 @@ def transposed_conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
                 :, :, i * dh : i * dh + sh * (h - 1) + 1 : sh,
                 j * dw : j * dw + sw * (w - 1) + 1 : sw,
             ] += tap
-    out = np.ascontiguousarray(full[:, :, ph : fh - ph, pw : fw - pw])
-    if p.bias is not None:
-        out += p.bias[None, :, None, None]
-    return out
+    return np.ascontiguousarray(full[:, :, ph : fh - ph, pw : fw - pw])
 
 
 def maxpool2x2_with_indices(x: np.ndarray) -> tuple[np.ndarray, PoolIndices]:

@@ -106,8 +106,10 @@ def test_encode_reports_lowest_lane_then_lowest_row():
     mask[2:, 1:3] = 1
     mask[6, 4] = 1                   # lane 1 row 6: split run
     mask[4, 2], mask[4, 3] = 0, 1    # lane 1 row 4: split run
-    with pytest.raises(CodecError, match=r"^lane 1 row 4 is not a contiguous run$"):
-        af.validate_mask(mask)
+    # float32 is how masks come back from .aft; the id still prints as an int
+    for coded in (mask, mask.astype(np.float32)):
+        with pytest.raises(CodecError, match=r"^lane 1 row 4 is not a contiguous run$"):
+            af.validate_mask(coded)
 
 
 def test_validate_mask_run_table():
@@ -322,6 +324,26 @@ def test_best_label_agreement_matches_exhaustive_oracle():
         gt = rng.integers(0, int(rng.integers(1, 8)), (h, w))    # up to 6 lane ids
         pred = rng.integers(0, int(rng.integers(1, 8)), (h, w))
         assert af.best_label_agreement(gt, pred) == best_label_agreement_ref(gt, pred), trial
+
+
+def test_best_label_agreement_is_exact_above_eight_ids():
+    # gt 1 is 3 px of pred 1 and 2 px of pred 2; gt 2 is 2 px of pred 1;
+    # gt 3..9 are one px each of pred 3..9.  Taking (1, 1) first gives 10/14;
+    # the optimum pairs gt 1 with pred 2 and gt 2 with pred 1: 11/14.
+    gt = np.array([[1, 1, 1, 1, 1, 2, 2, 3, 4, 5, 6, 7, 8, 9]])
+    pred = np.array([[1, 1, 1, 2, 2, 1, 1, 3, 4, 5, 6, 7, 8, 9]])
+    assert af.best_label_agreement(gt, pred) == 11 / 14
+
+
+@pytest.mark.parametrize("field,value", [("min_cluster_size", 0), ("min_lane_rows", 0),
+                                         ("min_lane_rows", -1), ("max_gap_rows", -1)])
+def test_decode_config_rejects_out_of_range_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        af.DecodeConfig(**{field: value})
+
+
+def test_decode_config_accepts_smallest_counts():
+    af.DecodeConfig(min_cluster_size=1, min_lane_rows=1, max_gap_rows=0)
 
 
 def test_decode_json_schema():

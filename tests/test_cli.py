@@ -87,6 +87,17 @@ def test_encode_malformed_line_nonzero_exit(tmp_path):
     assert os.path.exists(os.path.join(out, "000000.mask.aft"))  # good frame kept
 
 
+def test_encode_non_object_line_exits_2(tmp_path, capsys):
+    path = tmp_path / "labels.json"
+    good = json.dumps({"lanes": [[640.0] * len(H_SAMPLES)],
+                       "h_samples": H_SAMPLES, "raw_file": "a.jpg"})
+    path.write_text("5\n" + good + "\n")
+    out = str(tmp_path / "enc")
+    assert run(["encode", "--labels", str(path), "--out", out]) == 2
+    assert "line 1: expected a JSON object" in capsys.readouterr().err
+    assert os.path.exists(os.path.join(out, "000000.mask.aft"))
+
+
 # ------------------------------------------------------------------ decode
 
 def synth_scene(tmp_path, seed=5, lanes=3):
@@ -120,6 +131,16 @@ def test_decode_cli_roundtrip(tmp_path):
     assert payload["resolution"] == [88, 160]
     assert payload["version"]
     assert payload["config"]["fg_threshold"] == 0.5
+
+
+def test_decode_negative_min_lane_rows_exits_2(tmp_path):
+    scene = synth_scene(tmp_path, seed=6, lanes=2)
+    out = str(tmp_path / "lanes.json")
+    assert run(["decode", "--seg", os.path.join(scene, "mask.aft"),
+                "--haf", os.path.join(scene, "haf.aft"),
+                "--vaf", os.path.join(scene, "vaf.aft"),
+                "--min-lane-rows", "-1", "--out", out]) == 2
+    assert not os.path.exists(out)
 
 
 def test_decode_empty_seg_yields_no_lanes(tmp_path):

@@ -54,6 +54,33 @@ def test_parse_reports_missing_keys_and_bad_json(tmp_path):
     assert errors[0].startswith("line 1:") and errors[1].startswith("line 2:")
 
 
+def test_parse_reports_lines_that_are_not_objects(tmp_path):
+    errors: list[str] = []
+    lines = ["5", "[1, 2]", label_line([vertical_lane(300)])]
+    anns = D.parse_tusimple(write_labels(tmp_path, lines), errors)
+    assert len(anns) == 1
+    assert errors == ["line 1: expected a JSON object, got int",
+                      "line 2: expected a JSON object, got list"]
+
+
+def test_parse_reports_overflowing_h_samples(tmp_path):
+    errors: list[str] = []
+    bad = '{"raw_file": "a.jpg", "h_samples": [1e999], "lanes": []}'
+    anns = D.parse_tusimple(write_labels(tmp_path, [bad, label_line([])]), errors)
+    assert len(anns) == 1
+    assert len(errors) == 1 and errors[0].startswith("line 1:")
+
+
+def test_parse_reports_undecodable_line_and_keeps_parsing(tmp_path):
+    path = tmp_path / "labels.json"
+    good = label_line([vertical_lane(300)]).encode()
+    path.write_bytes(good + b"\n" + b'{"raw_file": "\xff\xfe"}\n' + good + b"\n")
+    errors: list[str] = []
+    anns = D.parse_tusimple(str(path), errors)
+    assert len(anns) == 2
+    assert errors == ["line 2: not valid UTF-8"]
+
+
 def test_parse_rejects_out_of_range_x(tmp_path):
     errors: list[str] = []
     anns = D.parse_tusimple(

@@ -49,13 +49,6 @@ def test_conv2d_shape_mismatch_names_both_shapes():
     assert "(1, 2, 4, 4)" in str(exc.value) and "(1, 3, 3, 3)" in str(exc.value)
 
 
-def test_conv2d_bias_applied_per_channel():
-    x = np.zeros((1, 1, 2, 2), dtype=np.float32)
-    p = T.ConvParams(np.zeros((2, 1, 1, 1), dtype=np.float32), bias=[1.0, -2.0])
-    out = T.conv2d(x, p)
-    assert (out[0, 0] == 1.0).all() and (out[0, 1] == -2.0).all()
-
-
 def test_conv2d_is_deterministic():
     g = rng(3)
     x = g.random((2, 4, 9, 7), dtype=np.float32)
