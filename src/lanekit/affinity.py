@@ -61,7 +61,7 @@ class DecodeConfig:
     def __post_init__(self):
         if not 0.0 < self.fg_threshold < 1.0:
             raise ValueError(f"fg_threshold must be in (0,1), got {self.fg_threshold}")
-        if self.assoc_threshold <= 0:
+        if not self.assoc_threshold > 0:
             raise ValueError(f"assoc_threshold must be positive, got {self.assoc_threshold}")
         for name, low in (("min_cluster_size", 1), ("min_lane_rows", 1), ("max_gap_rows", 0)):
             if getattr(self, name) < low:

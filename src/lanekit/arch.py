@@ -30,7 +30,6 @@ from .errors import FormatError, ShapeError
 WEIGHTS_MAGIC = b"AFW1"
 
 HEAD_CHANNELS = {"seg": 1, "haf": 1, "vaf": 2}
-DROPOUT_P = 0.2
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,6 @@ class BlockPlan:
     zero_pad_to: int | None = None
     post_act: bool = True               # PReLU after the residual add
     post_bn: bool = False               # initial block normalizes after concat
-    dropout: bool = True
 
 
 @dataclass
@@ -154,10 +152,10 @@ def plan_block(layer: LayerSpec, in_ch: int, projection_ratio: int) -> BlockPlan
         slot = ConvSlot(f"{nm}.conv", "conv", in_ch, out - in_ch, (3, 3),
                         stride=(2, 2), padding=(1, 1), bn=False, act=False)
         return BlockPlan(layer, in_ch, (slot,), pool="initial",
-                         post_act=True, post_bn=True, dropout=False)
+                         post_act=True, post_bn=True)
     if layer.kind == "conv1x1":
         slot = ConvSlot(nm, "conv", in_ch, out, (1, 1), bn=False, act=False)
-        return BlockPlan(layer, in_ch, (slot,), post_act=False, dropout=False)
+        return BlockPlan(layer, in_ch, (slot,), post_act=False)
 
     mid = max(1, out // projection_ratio)
     d = layer.dilation
@@ -354,18 +352,6 @@ def random_weights(spec: ArchSpec, seed: int = 0, scale: float = 0.1) -> dict[st
     return store
 
 
-def zero_weights(spec: ArchSpec) -> dict[str, np.ndarray]:
-    store = {}
-    for name, dims in weight_slots(spec).items():
-        if name.endswith(".gamma") or name.endswith(".var"):
-            store[name] = np.ones(dims, dtype=np.float32)
-        elif name.endswith(".slope"):
-            store[name] = np.full(dims, T.PRELU_DEFAULT_SLOPE, dtype=np.float32)
-        else:
-            store[name] = np.zeros(dims, dtype=np.float32)
-    return store
-
-
 def validate_weights(spec: ArchSpec, store: dict[str, np.ndarray]) -> None:
     slots = weight_slots(spec)
     for name, dims in slots.items():
@@ -411,6 +397,8 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
             name = blob[off : off + nlen].decode("utf-8")
         except UnicodeDecodeError as e:
             raise FormatError(f"undecodable tensor name at offset {off}") from e
+        if name in store:
+            raise FormatError(f"tensor name {name!r} repeated at offset {off}")
         off += nlen
         arr, off = T.tensor_from_bytes(blob, off)
         store[name] = arr
@@ -439,7 +427,7 @@ def _run_slot(x, slot: ConvSlot, store):
     return x
 
 
-def _run_block(x, plan: BlockPlan, store, mode, seed, pool_stack):
+def _run_block(x, plan: BlockPlan, store, pool_stack):
     nm = plan.layer.name
     if plan.pool == "initial":
         conv = _run_slot(x, plan.ext[0], store)
@@ -467,14 +455,10 @@ def _run_block(x, plan: BlockPlan, store, mode, seed, pool_stack):
         raise ShapeError(
             f"{nm}: ext branch {tuple(ext.shape)} does not match main {tuple(main.shape)}"
         )
-    out = T.prelu(main + ext, store[f"{nm}.out.slope"])
-    if plan.dropout:
-        out = T.spatial_dropout(out, DROPOUT_P, mode, rng_seed=seed + plan.layer.id)
-    return out
+    return T.prelu(main + ext, store[f"{nm}.out.slope"])
 
 
-def forward(spec: ArchSpec, store: dict[str, np.ndarray], image: np.ndarray,
-            mode: str = "infer", seed: int = 0):
+def forward(spec: ArchSpec, store: dict[str, np.ndarray], image: np.ndarray):
     """Run the network; returns (seg_logits, haf_map, vaf_map).
 
     image is (N, 3, H, W) with H, W divisible by 8.  Downsampling blocks
@@ -491,5 +475,5 @@ def forward(spec: ArchSpec, store: dict[str, np.ndarray], image: np.ndarray,
 
     pool_stack: list = []
     outputs = walk(spec, image,
-                   lambda plan, head, x: _run_block(x, plan, store, mode, seed, pool_stack))
+                   lambda plan, head, x: _run_block(x, plan, store, pool_stack))
     return outputs["seg"], outputs["haf"], outputs["vaf"]

@@ -265,7 +265,7 @@ def cmd_infer(args) -> int:
     if image.ndim == 4 and image.shape[0] != 1:
         raise FormatError(
             f"{args.image}: expected one (3,H,W) image, got a batch of {image.shape[0]}")
-    seg_logits, haf, vaf = arch.forward(spec, store, image, mode="infer")
+    seg_logits, haf, vaf = arch.forward(spec, store, image)
     seg_prob = T.sigmoid(seg_logits)
     os.makedirs(args.out, exist_ok=True)
     files = {

@@ -25,6 +25,13 @@ MAP_W, MAP_H = 160, 88
 _REQUIRED_KEYS = ("raw_file", "h_samples", "lanes")
 
 
+def _require_list(what: str, value):
+    # a JSON string would otherwise be iterated character by character
+    if not isinstance(value, (list, tuple)):
+        raise FormatError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class LaneAnnotation:
     raw_file: str
@@ -32,10 +39,11 @@ class LaneAnnotation:
     lanes: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "h_samples", tuple(int(y) for y in self.h_samples))
-        object.__setattr__(
-            self, "lanes", tuple(tuple(float(x) for x in lane) for lane in self.lanes)
-        )
+        h_samples = tuple(int(y) for y in _require_list("h_samples", self.h_samples))
+        object.__setattr__(self, "h_samples", h_samples)
+        object.__setattr__(self, "lanes", tuple(
+            tuple(float(x) for x in _require_list(f"lane {i}", lane))
+            for i, lane in enumerate(_require_list("lanes", self.lanes))))
         for i, lane in enumerate(self.lanes):
             if len(lane) != len(self.h_samples):
                 raise FormatError(
@@ -44,15 +52,6 @@ class LaneAnnotation:
             for x in lane:
                 if x != -2 and not 0 <= x <= ORIG_W - 1:
                     raise FormatError(f"lane {i} x={x} outside [-2] U [0, {ORIG_W - 1}]")
-
-
-@dataclass(frozen=True)
-class FrameRecord:
-    """One training frame: network-size image, map-size mask, annotation."""
-
-    image: np.ndarray            # (3, NET_H, NET_W) float32 in [0, 1]
-    mask: np.ndarray             # (MAP_H, MAP_W) int32
-    annotation: LaneAnnotation
 
 
 def parse_tusimple(path: str, error_sink: list[str] | None = None) -> list[LaneAnnotation]:
@@ -190,27 +189,3 @@ def lanes_to_annotation(decoded, h_samples, raw_file: str = "") -> LaneAnnotatio
             out[inside] = np.clip(vals, 0.0, ORIG_W - 1)
         lanes.append([float(v) for v in out])
     return LaneAnnotation(raw_file, tuple(int(y) for y in h_samples), tuple(map(tuple, lanes)))
-
-
-def add_noise(image: np.ndarray, kind: str, sigma: float, seed: int = 0) -> np.ndarray:
-    """Inject Gaussian or speckle noise, clamped to [0, 1]."""
-    if kind not in ("gaussian", "speckle"):
-        raise ValueError(f"noise kind must be 'gaussian' or 'speckle', got {kind!r}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
-    image = np.asarray(image, dtype=np.float32)
-    if sigma == 0:
-        return image.copy()
-    rng = np.random.default_rng(seed)
-    eps = rng.normal(0.0, sigma, image.shape).astype(np.float32)
-    noisy = image + eps if kind == "gaussian" else image * (1.0 + eps)
-    return np.clip(noisy, 0.0, 1.0)
-
-
-def make_frame_record(ann: LaneAnnotation, image: np.ndarray,
-                      thickness: int = 2) -> FrameRecord:
-    """Bundle a resized image with its rasterized mask and annotation."""
-    image = np.asarray(image, dtype=np.float32)
-    if image.shape != (3, NET_H, NET_W):
-        raise FormatError(f"image must be (3,{NET_H},{NET_W}), got {tuple(image.shape)}")
-    return FrameRecord(image, rasterize(ann, thickness=thickness), ann)

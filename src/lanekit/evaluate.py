@@ -24,7 +24,7 @@ class EvalConfig:
     lane_match_threshold: float = 0.85
 
     def __post_init__(self):
-        if self.px_threshold <= 0 or self.lane_match_threshold <= 0:
+        if not (self.px_threshold > 0 and self.lane_match_threshold > 0):
             raise ValueError("eval thresholds must be positive")
 
 

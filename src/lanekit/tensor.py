@@ -1,8 +1,8 @@
 """Deterministic float32 tensor kernels with explicit (N, C, H, W) layout.
 
 Everything in this module is a pure function over numpy arrays: same inputs
-(and seed, where one applies) give bit-identical outputs.  There is no
-autograd, no GPU path and no implicit broadcasting; shape mismatches raise
+give bit-identical outputs.  There is no autograd, no GPU path and no
+implicit broadcasting; shape mismatches raise
 :class:`~lanekit.errors.ShapeError` naming both shapes.
 
 Tensors are stored row-major, channel-major within batch.  The `.aft` file
@@ -249,22 +249,6 @@ def sigmoid(x) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def spatial_dropout(x, p: float, mode: str = "infer", rng_seed: int = 0) -> np.ndarray:
-    """Channel-wise dropout; identity in infer mode, seeded in train mode."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    x = as_f32(x)
-    _require_nchw(x)
-    if mode == "infer" or p == 0.0:
-        return x
-    n, c = x.shape[:2]
-    rng = np.random.default_rng(rng_seed)
-    keep = (rng.random((n, c)) >= p).astype(np.float32)
-    return x * (keep / np.float32(1.0 - p))[:, :, None, None]
 
 
 def channel_zero_pad(x, target_channels: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from lanekit import affinity as af
 from lanekit import synth
 from lanekit.errors import CodecError, ShapeError
+from lanekit.evaluate import EvalConfig
 
 from oracles import association_error_ref, best_label_agreement_ref, encode_ref
 
@@ -340,6 +341,14 @@ def test_best_label_agreement_is_exact_above_eight_ids():
 def test_decode_config_rejects_out_of_range_counts(field, value):
     with pytest.raises(ValueError, match=field):
         af.DecodeConfig(**{field: value})
+
+
+@pytest.mark.parametrize("config,field", [(af.DecodeConfig, "assoc_threshold"),
+                                          (EvalConfig, "px_threshold"),
+                                          (EvalConfig, "lane_match_threshold")])
+def test_configs_reject_nan_thresholds(config, field):
+    with pytest.raises(ValueError):
+        config(**{field: float("nan")})
 
 
 def test_decode_config_accepts_smallest_counts():

@@ -1,5 +1,6 @@
 """Property tests for the readers: any input bytes give a value or a
-LanekitError (tensors), or annotations plus reported errors (label files)."""
+LanekitError (tensors, weight files), or annotations plus reported errors
+(label files)."""
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lanekit import arch
 from lanekit import dataset as D
 from lanekit import tensor as T
 from lanekit.errors import LanekitError
@@ -21,6 +23,24 @@ aft_blobs = st.one_of(
     st.tuples(st.integers(0, 9), st.lists(st.integers(0, 2**32 - 1), max_size=9),
               st.binary(max_size=64)).map(
         lambda t: T.AFT_MAGIC + struct.pack(f"<I{len(t[1])}I", t[0], *t[1]) + t[2]),
+)
+
+# weight files: raw bytes, bytes behind the magic, and a plausible header over
+# entries that are mostly well formed, with names that often repeat
+valid_tensors = st.lists(st.floats(width=32), max_size=4).map(
+    lambda v: T.tensor_to_bytes(np.asarray(v, dtype=np.float32)))
+afw_entries = st.tuples(
+    st.sampled_from([b"x", b"a.kernel", b"x", b"", b"\xff"]),
+    st.sampled_from([0, 0, 0, 0, 1]),                    # name length error
+    st.one_of(valid_tensors, valid_tensors, aft_blobs),
+).map(lambda t: struct.pack("<H", len(t[0]) + t[1]) + t[0] + t[2])
+afw_files = st.tuples(st.lists(afw_entries, max_size=4), st.sampled_from([0, 0, 1, -1])).map(
+    lambda t: arch.WEIGHTS_MAGIC + struct.pack("<I", max(0, len(t[0]) + t[1]))
+    + b"".join(t[0]))
+afw_blobs = st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=64).map(lambda b: arch.WEIGHTS_MAGIC + b),
+    afw_files, afw_files,
 )
 
 json_values = st.recursive(
@@ -48,17 +68,34 @@ def test_tensor_from_bytes_gives_array_or_lanekit_error(blob):
     assert end == 4 + 4 * (1 + arr.ndim) + arr.nbytes <= len(blob)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(label_lines, max_size=6).map(b"\n".join))
-def test_parse_tusimple_reports_every_bad_line(blob):
-    fd, path = tempfile.mkstemp(suffix=".json")
+def _with_file(blob, read):
+    fd, path = tempfile.mkstemp()
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(blob)
-        errors: list[str] = []
-        anns = D.parse_tusimple(path, errors)
+        return read(path)
     finally:
         os.unlink(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(afw_blobs)
+def test_load_weights_gives_store_or_lanekit_error(blob):
+    try:
+        store = _with_file(blob, arch.load_weights)
+    except LanekitError:
+        return
+    assert isinstance(store, dict)
+    assert struct.unpack_from("<I", blob, 4)[0] == len(store)
+    assert all(isinstance(k, str) and isinstance(v, np.ndarray) and v.dtype == np.float32
+               for k, v in store.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(label_lines, max_size=6).map(b"\n".join))
+def test_parse_tusimple_reports_every_bad_line(blob):
+    errors: list[str] = []
+    anns = _with_file(blob, lambda path: D.parse_tusimple(path, errors))
     assert all(isinstance(a, D.LaneAnnotation) for a in anns)
     assert all(isinstance(e, str) and e.startswith("line ") for e in errors)
     text = io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8", errors="surrogateescape")

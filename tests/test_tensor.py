@@ -224,37 +224,6 @@ def test_sigmoid_matches_high_precision():
     assert np.abs(T.sigmoid(x) - ref).max() <= 1e-6
 
 
-def test_spatial_dropout_infer_is_identity():
-    x = rng(14).random((1, 8, 4, 4), dtype=np.float32)
-    out = T.spatial_dropout(x, 0.5, mode="infer", rng_seed=1)
-    assert (out == x).all()
-
-
-def test_spatial_dropout_p0_train_is_identity():
-    x = rng(15).random((1, 8, 4, 4), dtype=np.float32)
-    assert (T.spatial_dropout(x, 0.0, mode="train", rng_seed=1) == x).all()
-
-
-def test_spatial_dropout_zeroed_fraction():
-    x = np.ones((1, 10000, 1, 1), dtype=np.float32)
-    out = T.spatial_dropout(x, 0.5, mode="train", rng_seed=42)
-    frac = (out[0, :, 0, 0] == 0).mean()
-    assert abs(frac - 0.5) <= 0.02
-    survivors = out[out != 0]
-    assert np.allclose(survivors, 2.0)
-
-
-def test_spatial_dropout_seed_determinism_and_validation():
-    x = rng(16).random((1, 32, 2, 2), dtype=np.float32)
-    a = T.spatial_dropout(x, 0.3, mode="train", rng_seed=5)
-    b = T.spatial_dropout(x, 0.3, mode="train", rng_seed=5)
-    assert (a == b).all()
-    with pytest.raises(ValueError):
-        T.spatial_dropout(x, 1.0, mode="train")
-    with pytest.raises(ValueError):
-        T.spatial_dropout(x, -0.1, mode="infer")
-
-
 def test_channel_zero_pad():
     x = rng(17).random((1, 16, 3, 3), dtype=np.float32)
     out = T.channel_zero_pad(x, 64)
