@@ -412,8 +412,9 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
 # --------------------------------------------------------------------------
 
 def _run_bn(x, store, name):
+    # in place: every caller passes an array its block has just made
     return T.batchnorm_infer(x, store[f"{name}.bn.gamma"], store[f"{name}.bn.beta"],
-                             store[f"{name}.bn.mean"], store[f"{name}.bn.var"])
+                             store[f"{name}.bn.mean"], store[f"{name}.bn.var"], out=x)
 
 
 def _run_slot(x, slot: ConvSlot, store):
@@ -423,17 +424,19 @@ def _run_slot(x, slot: ConvSlot, store):
     if slot.bn:
         x = _run_bn(x, store, slot.name)
     if slot.act:
-        x = T.prelu(x, store[f"{slot.name}.slope"])
+        x = T.prelu(x, store[f"{slot.name}.slope"], out=x)
     return x
 
 
 def _run_block(x, plan: BlockPlan, store, pool_stack):
+    """One row of the plan.  It writes only into arrays it made itself, never
+    into *x*: with shared heads, every head reads the same trunk output."""
     nm = plan.layer.name
     if plan.pool == "initial":
         conv = _run_slot(x, plan.ext[0], store)
         pooled, _ = T.maxpool2x2_with_indices(x)
         x = _run_bn(np.concatenate([conv, pooled], axis=1), store, nm)
-        return T.prelu(x, store[f"{nm}.out.slope"])
+        return T.prelu(x, store[f"{nm}.out.slope"], out=x)
     if plan.layer.kind == "conv1x1":
         return _run_slot(x, plan.ext[0], store)
 
@@ -455,7 +458,8 @@ def _run_block(x, plan: BlockPlan, store, pool_stack):
         raise ShapeError(
             f"{nm}: ext branch {tuple(ext.shape)} does not match main {tuple(main.shape)}"
         )
-    return T.prelu(main + ext, store[f"{nm}.out.slope"])
+    np.add(main, ext, out=ext)
+    return T.prelu(ext, store[f"{nm}.out.slope"], out=ext)
 
 
 def forward(spec: ArchSpec, store: dict[str, np.ndarray], image: np.ndarray):

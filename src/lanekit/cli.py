@@ -116,9 +116,7 @@ def cmd_decode(args) -> int:
         raise FormatError(
             f"map resolutions differ: seg {seg.shape}, haf {haf.shape}, vaf {vaf.shape}"
         )
-    cfg = DecodeConfig(fg_threshold=args.fg_thresh, assoc_threshold=args.assoc_thresh,
-                       min_cluster_size=args.min_cluster_size,
-                       min_lane_rows=args.min_lane_rows)
+    cfg = _decode_config(args)
     result = decode(seg, AffinityPair(haf, vaf), cfg)
     payload = json.loads(result.to_json())
     payload["version"] = __version__
@@ -280,7 +278,7 @@ def cmd_infer(args) -> int:
     config = {"weights": args.weights, "random_init": args.random_init,
               "seed": args.seed, "shared_heads": args.shared_heads, "decode": args.decode}
     if args.decode:
-        cfg = DecodeConfig(fg_threshold=args.fg_thresh, assoc_threshold=args.assoc_thresh)
+        cfg = _decode_config(args)
         result = decode(seg_prob[0, 0], AffinityPair(haf[0, 0], vaf[0]), cfg)
         lanes_path = os.path.join(args.out, "lanes.json")
         T.atomic_write_bytes(lanes_path, (result.to_json() + "\n").encode())
@@ -316,6 +314,22 @@ def cmd_loss(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
+def _add_decode_flags(parser: argparse.ArgumentParser) -> None:
+    """The decode settings, shared by ``decode`` and ``infer --decode``."""
+    parser.add_argument("--fg-thresh", type=float, default=_DECODE_DEFAULTS.fg_threshold)
+    parser.add_argument("--assoc-thresh", type=float,
+                        default=_DECODE_DEFAULTS.assoc_threshold)
+    parser.add_argument("--min-cluster-size", type=int,
+                        default=_DECODE_DEFAULTS.min_cluster_size)
+    parser.add_argument("--min-lane-rows", type=int, default=_DECODE_DEFAULTS.min_lane_rows)
+
+
+def _decode_config(args) -> DecodeConfig:
+    return DecodeConfig(fg_threshold=args.fg_thresh, assoc_threshold=args.assoc_thresh,
+                        min_cluster_size=args.min_cluster_size,
+                        min_lane_rows=args.min_lane_rows)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lanecli",
                                 description="lane affinity-field toolkit")
@@ -336,10 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--haf", required=True)
     dec.add_argument("--vaf", required=True)
     dec.add_argument("--out", required=True)
-    dec.add_argument("--fg-thresh", type=float, default=_DECODE_DEFAULTS.fg_threshold)
-    dec.add_argument("--assoc-thresh", type=float, default=_DECODE_DEFAULTS.assoc_threshold)
-    dec.add_argument("--min-cluster-size", type=int, default=_DECODE_DEFAULTS.min_cluster_size)
-    dec.add_argument("--min-lane-rows", type=int, default=_DECODE_DEFAULTS.min_lane_rows)
+    _add_decode_flags(dec)
     dec.set_defaults(func=cmd_decode)
 
     ev = sub.add_parser("eval", help="score predictions against ground truth")
@@ -382,8 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--image", required=True)
     inf.add_argument("--out", required=True)
     inf.add_argument("--decode", action="store_true")
-    inf.add_argument("--fg-thresh", type=float, default=_DECODE_DEFAULTS.fg_threshold)
-    inf.add_argument("--assoc-thresh", type=float, default=_DECODE_DEFAULTS.assoc_threshold)
+    _add_decode_flags(inf)
     inf.set_defaults(func=cmd_infer)
 
     lo = sub.add_parser("loss", help="loss breakdown between map directories")

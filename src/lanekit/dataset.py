@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,19 @@ def _require_list(what: str, value):
     return value
 
 
+def _require_numbers(what: str, values, whole: bool = False) -> tuple:
+    """A list of real numbers, as ints if *whole*; a bool or a string is an
+    error, where int() and float() would turn true into 1 and "170" into 170."""
+    values = _require_list(what, values)
+    if not set(map(type, values)) <= ({int} if whole else {int, float}):
+        for i, v in enumerate(values):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise FormatError(f"{what} entry {i} must be a number, got {type(v).__name__}")
+            if whole and not isinstance(v, numbers.Integral) and not float(v).is_integer():
+                raise FormatError(f"{what} entry {i} must be a whole number, got {v!r}")
+    return tuple(map(int if whole else float, values))
+
+
 @dataclass(frozen=True)
 class LaneAnnotation:
     raw_file: str
@@ -39,10 +53,10 @@ class LaneAnnotation:
     lanes: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        h_samples = tuple(int(y) for y in _require_list("h_samples", self.h_samples))
-        object.__setattr__(self, "h_samples", h_samples)
+        object.__setattr__(self, "h_samples",
+                           _require_numbers("h_samples", self.h_samples, whole=True))
         object.__setattr__(self, "lanes", tuple(
-            tuple(float(x) for x in _require_list(f"lane {i}", lane))
+            _require_numbers(f"lane {i}", lane)
             for i, lane in enumerate(_require_list("lanes", self.lanes))))
         for i, lane in enumerate(self.lanes):
             if len(lane) != len(self.h_samples):

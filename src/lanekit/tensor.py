@@ -131,8 +131,10 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
         strides=(sn, sc, dh * srh, dw * srw, sh * srh, sw * srw),
         writeable=False,
     )
-    out = np.tensordot(p.kernel, windows, axes=([1, 2, 3], [1, 2, 3]))
-    return np.ascontiguousarray(out.transpose(1, 0, 2, 3), dtype=np.float32)
+    # one (oc x K) . (K x oh*ow) GEMM per frame: a frame's bits do not depend on its batch
+    k = c * kh * kw
+    out = np.matmul(p.kernel.reshape(oc, k), windows.reshape(n, k, oh * ow))
+    return out.reshape(n, oc, oh, ow)
 
 
 def transposed_conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
@@ -180,13 +182,20 @@ def maxpool2x2_with_indices(x: np.ndarray) -> tuple[np.ndarray, PoolIndices]:
     if h % 2 or w % 2:
         xp = np.full((n, c, 2 * h2, 2 * w2), -np.inf, dtype=np.float32)
         xp[:, :, :h, :w] = x
-    win = xp.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
-    loc = win.argmax(axis=-1)
-    out = np.take_along_axis(win, loc[..., None], axis=-1)[..., 0]
-    rows = 2 * np.arange(h2, dtype=np.int64)[:, None] + loc // 2
-    cols = 2 * np.arange(w2, dtype=np.int64)[None, :] + loc % 2
-    flat = rows * w + cols
-    return np.ascontiguousarray(out), PoolIndices(dims=(n, c, h2, w2), argmax=flat)
+    cells = [xp[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    top = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
+    # loc is the first cell equal to the max, or the first NaN if the max is
+    # NaN: start at 3 and count down once for each of cells 0-2 from that hit on
+    loc = np.full(top.shape, 3, dtype=np.uint8)
+    seen = np.zeros(top.shape, dtype=bool)
+    for cell in cells[:3]:
+        seen |= (cell == top) | np.isnan(cell)
+        loc -= seen
+    base = 2 * w * np.arange(h2, dtype=np.int64)[:, None] + 2 * np.arange(w2, dtype=np.int64)
+    flat = base + np.take(np.array([0, 1, w, w + 1], dtype=np.int64), loc)
+    # gathered from the winning cell, so a -0.0 or a NaN payload keeps its bits
+    out = np.take_along_axis(x.reshape(n, c, h * w), flat.reshape(n, c, -1), axis=-1)
+    return out.reshape(n, c, h2, w2), PoolIndices(dims=(n, c, h2, w2), argmax=flat)
 
 
 def max_unpool2x2(x: np.ndarray, idx: PoolIndices, out_hw: tuple[int, int]) -> np.ndarray:
@@ -218,8 +227,10 @@ def _per_channel(v, channels: int, name: str) -> np.ndarray:
     return arr
 
 
-def batchnorm_infer(x, gamma, beta, mean, var, eps: float = BATCHNORM_EPS) -> np.ndarray:
-    """Inference-mode batch normalization: gamma*(x-mean)/sqrt(var+eps)+beta."""
+def batchnorm_infer(x, gamma, beta, mean, var, eps: float = BATCHNORM_EPS,
+                    out=None) -> np.ndarray:
+    """Inference-mode batch normalization: gamma*(x-mean)/sqrt(var+eps)+beta,
+    written into ``out`` if given (it may be *x*)."""
     x = as_f32(x)
     _require_nchw(x)
     c = x.shape[1]
@@ -229,15 +240,25 @@ def batchnorm_infer(x, gamma, beta, mean, var, eps: float = BATCHNORM_EPS) -> np
         raise ShapeError("variance must be non-negative")
     scale = g / np.sqrt(v + np.float32(eps))
     shift = b - m * scale
-    return x * scale[None, :, None, None] + shift[None, :, None, None]
+    y = np.multiply(x, scale[None, :, None, None], out=out)
+    return np.add(y, shift[None, :, None, None], out=y)
 
 
-def prelu(x, slope) -> np.ndarray:
-    """Per-channel PReLU: x if x > 0 else slope * x."""
+def prelu(x, slope, out=None) -> np.ndarray:
+    """Per-channel PReLU: x if x > 0 else slope * x, written into ``out`` if
+    given (it may be *x*).
+
+    Computed without a branch as max(x, -0.0) + min(0, x) * slope.  numpy
+    returns the second operand on a tie, so min(0, x) keeps the sign of a
+    zero x and max(x, -0.0) is -0.0 wherever x <= 0, which adds exactly.
+    """
     x = as_f32(x)
     _require_nchw(x)
     s = _per_channel(slope, x.shape[1], "slope")
-    return np.where(x > 0, x, x * s[None, :, None, None])
+    neg = np.minimum(0, x)
+    neg *= s[None, :, None, None]
+    y = np.maximum(x, -0.0, out=out)
+    return np.add(y, neg, out=y)
 
 
 def sigmoid(x) -> np.ndarray:

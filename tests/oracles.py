@@ -2,10 +2,12 @@
 
 Everything here is deliberately written as plain nested loops over scalars,
 sharing no code with the library, so agreement between the two is evidence
-of correctness rather than tautology.  The one exception is
-:func:`forward_ref`, which reads each row's conv slots from
-``arch.plan_block`` (the layer table) but chains the rows and runs every
-kernel itself.
+of correctness rather than tautology.  There are two exceptions.
+:func:`forward_ref` reads each row's conv slots from ``arch.plan_block`` (the
+layer table) but chains the rows and runs every kernel itself.  And
+:func:`prelu_bits_ref` and :func:`maxpool2x2_bits_ref` are the library's
+earlier numpy kernels, kept as byte-exact references for the float32 kernels
+that replaced them: they define the bits of ±0, ±inf and NaN results.
 """
 from __future__ import annotations
 
@@ -88,6 +90,25 @@ def maxpool2x2_ref(x):
                     out[b, ci, i, j] = best
                     arg[b, ci, i, j] = best_pos
     return out, arg
+
+
+def prelu_bits_ref(x, slope):
+    """float32 PReLU as one select: x where x > 0, else x * slope."""
+    return np.where(x > 0, x, x * np.asarray(slope, dtype=np.float32)[None, :, None, None])
+
+
+def maxpool2x2_bits_ref(x):
+    """float32 2x2 max pool over -inf padding: one argmax per window of four."""
+    n, c, h, w = x.shape
+    h2, w2 = (h + 1) // 2, (w + 1) // 2
+    xp = np.full((n, c, 2 * h2, 2 * w2), -np.inf, dtype=np.float32)
+    xp[:, :, :h, :w] = x
+    win = xp.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
+    loc = win.argmax(axis=-1)
+    out = np.take_along_axis(win, loc[..., None], axis=-1)[..., 0]
+    rows = 2 * np.arange(h2, dtype=np.int64)[:, None] + loc // 2
+    cols = 2 * np.arange(w2, dtype=np.int64)[None, :] + loc % 2
+    return out, rows * w + cols
 
 
 def wbce_ref(logits, target, w):

@@ -202,16 +202,41 @@ def test_shared_heads_forward_matches_shapes():
     assert seg.shape == (1, 1, 4, 4) and vaf.shape == (1, 2, 4, 4)
 
 
-@pytest.mark.parametrize("shared_heads", [False, True])
-def test_forward_matches_reference_oracle(shared_heads):
+@pytest.mark.parametrize("shared_heads, batch", [(False, 1), (True, 1), (False, 2), (True, 2)],
+                         ids=["False", "True", "False-batch2", "True-batch2"])
+def test_forward_matches_reference_oracle(shared_heads, batch):
     spec = arch.build_enet21(shared_heads=shared_heads)
     store = arch.random_weights(spec, seed=12)
-    img = np.random.default_rng(12).random((1, 3, 16, 16), dtype=np.float32)
+    img = np.random.default_rng(12).random((batch, 3, 16, 16), dtype=np.float32)
     ref = forward_ref(spec, store, img)
     got = arch.forward(spec, store, img)
     for name, out in zip(("seg", "haf", "vaf"), got):
         assert out.shape == ref[name].shape
         np.testing.assert_allclose(out, ref[name], rtol=0, atol=1e-5, err_msg=name)
+
+
+@pytest.mark.parametrize("shared_heads", [False, True])
+def test_forward_batch_bytes_equal_single_frames(shared_heads):
+    # every frame of a batch runs the same kernels as it would alone, so a
+    # batched forward can share the single-frame reference outputs
+    spec = arch.build_enet21(shared_heads=shared_heads)
+    store = arch.random_weights(spec, seed=5)
+    img = np.random.default_rng(7).random((3, 3, 32, 48), dtype=np.float32)
+    batched = arch.forward(spec, store, img)
+    for i in range(3):
+        for got, alone in zip(batched, arch.forward(spec, store, img[i:i + 1])):
+            assert got[i].tobytes() == alone[0].tobytes()
+
+
+@pytest.mark.parametrize("shared_heads", [False, True])
+def test_forward_leaves_image_and_store_unchanged(shared_heads):
+    spec = arch.build_enet21(shared_heads=shared_heads)
+    store = arch.random_weights(spec, seed=3)
+    img = np.random.default_rng(3).standard_normal((2, 3, 16, 24)).astype(np.float32)
+    before = img.tobytes(), {name: w.tobytes() for name, w in store.items()}
+    arch.forward(spec, store, img)
+    assert img.tobytes() == before[0]
+    assert {name: w.tobytes() for name, w in store.items()} == before[1]
 
 
 @pytest.mark.parametrize("shared_heads, params, flops, slots", [

@@ -316,6 +316,35 @@ def test_infer_manifest_records_decode_settings(tmp_path):
         fg_threshold=0.9, assoc_threshold=7.0).__dict__}
 
 
+def test_infer_decode_takes_every_decode_flag(tmp_path):
+    # the same flags give `infer --decode` and `decode` over its maps the same lanes
+    img_path = str(tmp_path / "img.aft")
+    T.save_tensor(img_path, np.random.default_rng(0).random((3, 64, 96)).astype(np.float32))
+    flags = ["--fg-thresh", "0.4", "--assoc-thresh", "9",
+             "--min-cluster-size", "3", "--min-lane-rows", "3"]
+    out = str(tmp_path / "run")
+    assert run(["infer", "--random-init", "--seed", "5", "--image", img_path,
+                "--out", out, "--decode", *flags]) == 0
+    cfg = cli.DecodeConfig(fg_threshold=0.4, assoc_threshold=9.0,
+                           min_cluster_size=3, min_lane_rows=3)
+    with open(os.path.join(out, "manifest.json")) as f:
+        assert json.load(f)["config"] == {"weights": None, "random_init": True, "seed": 5,
+                                          "shared_heads": False, "decode": True,
+                                          **cfg.__dict__}
+    lanes_path = str(tmp_path / "lanes.json")
+    assert run(["decode", *(arg for m in ("seg", "haf", "vaf")
+                            for arg in (f"--{m}", os.path.join(out, f"{m}.aft"))),
+                "--out", lanes_path, *flags]) == 0
+    with open(os.path.join(out, "lanes.json")) as f:
+        inferred = json.load(f)
+    with open(lanes_path) as f:
+        decoded = json.load(f)
+    assert decoded.pop("config") == cfg.__dict__
+    del decoded["version"]
+    assert inferred == decoded
+    assert len(inferred["lanes"]) == 3   # the default settings keep 1
+
+
 def test_infer_missing_image_exits_2(tmp_path):
     assert run(["infer", "--random-init", "--image", str(tmp_path / "no.aft"),
                 "--out", str(tmp_path / "o")]) == 2

@@ -84,6 +84,28 @@ def test_parse_reports_strings_where_lists_belong(tmp_path):
                       "line 3: lane 0 must be a list, got str"]
 
 
+@pytest.mark.parametrize("h_samples, lane, message", [
+    ([160.7], [5], "h_samples entry 0 must be a whole number, got 160.7"),
+    ([160, "170"], [5, 6], "h_samples entry 1 must be a number, got str"),
+    ([160, True], [5, 6], "h_samples entry 1 must be a number, got bool"),
+    ([160], ["5"], "lane 0 entry 0 must be a number, got str"),
+    ([160, 170], [5, False], "lane 0 entry 1 must be a number, got bool"),
+])
+def test_annotation_rejects_coerced_values(tmp_path, h_samples, lane, message):
+    with pytest.raises(FormatError, match=message):
+        D.LaneAnnotation("a", h_samples, [lane])
+    errors: list[str] = []
+    line = json.dumps({"raw_file": "a", "h_samples": h_samples, "lanes": [lane]})
+    anns = D.parse_tusimple(write_labels(tmp_path, [label_line([]), line]), errors)
+    assert len(anns) == 1 and errors == [f"line 2: {message}"]
+
+
+def test_annotation_keeps_whole_float_and_numpy_numbers():
+    ann = D.LaneAnnotation("a", [160.0, np.int64(170)], [[5, np.float32(6.5)]])
+    assert ann.h_samples == (160, 170) and ann.lanes == ((5.0, 6.5),)
+    assert [type(y) for y in ann.h_samples] == [int, int]
+
+
 def test_parse_reports_undecodable_line_and_keeps_parsing(tmp_path):
     path = tmp_path / "labels.json"
     good = label_line([vertical_lane(300)]).encode()

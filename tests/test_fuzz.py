@@ -1,8 +1,11 @@
-"""Property tests for the readers: any input bytes give a value or a
+"""Property tests.  The readers: any input bytes give a value or a
 LanekitError (tensors, weight files), or annotations plus reported errors
-(label files)."""
+(label files).  The forward kernels: their float32 outputs are byte-equal to
+reference kernels, in place or not and batched or not, on inputs full of
+signed zeros, infinities, NaN payloads, denormals and ties."""
 import io
 import json
+import math
 import os
 import struct
 import tempfile
@@ -15,6 +18,7 @@ from lanekit import arch
 from lanekit import dataset as D
 from lanekit import tensor as T
 from lanekit.errors import LanekitError
+from oracles import maxpool2x2_bits_ref, prelu_bits_ref
 
 # raw bytes, bytes behind the magic, and a plausible header over random dims
 aft_blobs = st.one_of(
@@ -100,3 +104,102 @@ def test_parse_tusimple_reports_every_bad_line(blob):
     assert all(isinstance(e, str) and e.startswith("line ") for e in errors)
     text = io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8", errors="surrogateescape")
     assert len(anns) + len(errors) == sum(1 for line in text if line.strip())
+
+
+# --------------------------------------------------------- forward kernels
+
+# float32 values that make rounding, sign and NaN propagation visible: signed
+# zeros, infinities, quiet and signalling NaNs with payloads and either sign,
+# denormals, small integers (ties) and a few ordinary values
+EDGE_F32 = np.concatenate([
+    np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45, 1e-40, -3e-39,
+              -2, -1, 1, 2, 3, 0.1, -0.3, 1e30], dtype=np.float32),
+    np.array([0x7FC00001, 0xFFC00002, 0x7F800003, 0xFF812345],
+             dtype=np.uint32).view(np.float32),
+])
+SLOPES_F32 = np.array([0.0, -0.0, 0.25, -0.5, -3.0, 1e-45, 2.0], dtype=np.float32)
+
+
+# (N, C, H, W) arrays over EDGE_F32 with N <= 3, odd H and W included; drawn
+# as indices, so that every NaN keeps its payload
+edge_arrays = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 7),
+                        st.integers(1, 7)).flatmap(lambda shape: st.lists(
+                            st.integers(0, len(EDGE_F32) - 1), min_size=math.prod(shape),
+                            max_size=math.prod(shape)).map(lambda i: EDGE_F32[i].reshape(shape)))
+
+
+def per_channel(x, values, data):
+    return values[data.draw(st.lists(st.integers(0, len(values) - 1),
+                                     min_size=x.shape[1], max_size=x.shape[1]))]
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_arrays, st.data())
+def test_prelu_bytes_equal_reference(x, data):
+    slope = per_channel(x, SLOPES_F32, data)
+    with np.errstate(invalid="ignore"):
+        ref = prelu_bits_ref(x, slope)
+        assert same_bits(T.prelu(x, slope), ref)
+        y = x.copy()
+        assert T.prelu(y, slope, out=y) is y
+    assert same_bits(y, ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_arrays)
+def test_maxpool_bytes_equal_reference(x):
+    out, idx = T.maxpool2x2_with_indices(x)
+    ref_out, ref_arg = maxpool2x2_bits_ref(x)
+    assert same_bits(out, ref_out)
+    assert same_bits(idx.argmax, ref_arg) and idx.argmax.dtype == np.int64
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_arrays, st.data())
+def test_batchnorm_in_place_bytes_equal_out_of_place(x, data):
+    nonneg = EDGE_F32[~np.signbit(EDGE_F32) & np.isfinite(EDGE_F32)]
+    gamma, beta, mean = (per_channel(x, EDGE_F32, data) for _ in range(3))
+    var = per_channel(x, nonneg, data)
+    with np.errstate(all="ignore"):
+        ref = T.batchnorm_infer(x, gamma, beta, mean, var)
+        y = x.copy()
+        assert T.batchnorm_infer(y, gamma, beta, mean, var, out=y) is y
+    assert same_bits(y, ref)
+
+
+def _plan_convs():
+    """Every (kernel, stride, dilation, padding) of a conv slot in the plan."""
+    convs = set()
+
+    def step(plan, head, _):
+        for s in plan.ext + ((plan.main_conv,) if plan.main_conv else ()):
+            if s.op == "conv":
+                convs.add((s.kernel, s.stride, s.dilation, s.padding))
+
+    arch.walk(arch.build_enet21(), None, step)
+    return sorted(convs)
+
+
+PLAN_CONVS = _plan_convs()
+
+
+def draw_f32(data, shape):
+    size = math.prod(shape)
+    values = data.draw(st.lists(st.floats(-4, 4, width=32), min_size=size, max_size=size))
+    return np.asarray(values, dtype=np.float32).reshape(shape)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PLAN_CONVS), st.integers(1, 4), st.integers(1, 4),
+       st.integers(2, 12), st.integers(2, 12), st.data())
+def test_conv2d_batch_bytes_equal_single_frames(conv, c, oc, h, w, data):
+    kernel, stride, dilation, padding = conv
+    x = draw_f32(data, (3, c, h, w))
+    p = T.ConvParams(draw_f32(data, (oc, c, *kernel)), stride=stride, dilation=dilation,
+                     padding=padding)
+    frames = np.concatenate([T.conv2d(x[i:i + 1], p) for i in range(3)])
+    assert same_bits(T.conv2d(x, p), frames)
