@@ -162,18 +162,14 @@ def cluster_row_haf(haf_row: np.ndarray, fg_row: np.ndarray,
     fg_row = np.asarray(fg_row).reshape(-1).astype(bool)
     if haf_row.shape != fg_row.shape:
         raise ShapeError(f"row lengths differ: haf {haf_row.shape}, fg {fg_row.shape}")
-    cols = np.flatnonzero(fg_row)
-    clusters: list[list[int]] = []
-    prev = None
-    for c in cols:
-        cur = haf_row[c]
-        if not clusters or (prev <= 0.0 and cur > 0.0):
-            clusters.append([int(c)])
-        else:
-            clusters[-1].append(int(c))
-        prev = cur
-    return [np.asarray(cl, dtype=np.int64) for cl in clusters
-            if len(cl) >= min_cluster_size]
+    # .nonzero()[0]: np.flatnonzero's wrapper costs as much as a sparse row's scan
+    cols = fg_row.nonzero()[0]
+    if not len(cols):
+        return []
+    h = haf_row[cols]
+    # NaN compares false both ways, so it neither ends nor starts a cluster
+    ends = [0, *(((h[:-1] <= 0) & (h[1:] > 0)).nonzero()[0] + 1).tolist(), len(cols)]
+    return [cols[a:b] for a, b in zip(ends, ends[1:]) if b - a >= min_cluster_size]
 
 
 @dataclass
@@ -186,35 +182,42 @@ class LaneTrack:
     points: list = field(default_factory=list)   # one (x, y) per assigned row
 
 
-def association_error(track: LaneTrack, centroid_x: float, row_above: int,
-                      vaf: np.ndarray) -> float:
-    """Mean residual of projecting the track's pixels onto a cluster centroid.
+def association_error(tracks: list[LaneTrack], centroid_xs: list[float], row_above: int,
+                      vaf: np.ndarray) -> np.ndarray:
+    """(tracks, clusters) mean residuals of projecting a track's pixels onto a
+    cluster centroid.
 
     Each pixel aims along its predicted vertical vector, scaled to its
-    distance from the centroid; the residual is what remains.
+    distance from the centroid; the residual is what remains.  One
+    (clusters, all track pixels) array scores the row; each track's mean
+    reduces its own contiguous columns, so it sums as it would alone.
     """
-    xs = track.pixel_xs.astype(np.float64)
-    tx = centroid_x - xs
-    ty = float(row_above - track.row)
+    counts = [len(t.pixel_xs) for t in tracks]
+    xs = np.concatenate([t.pixel_xs for t in tracks])
+    rows = np.repeat([t.row for t in tracks], counts)
+    tx = np.asarray(centroid_xs, dtype=np.float64)[:, None] - xs.astype(np.float64)
+    ty = (row_above - rows).astype(np.float64)
     dist = np.sqrt(tx * tx + ty * ty)
-    vx = vaf[0, track.row, track.pixel_xs].astype(np.float64)
-    vy = vaf[1, track.row, track.pixel_xs].astype(np.float64)
+    vx = vaf[0, rows, xs].astype(np.float64)
+    vy = vaf[1, rows, xs].astype(np.float64)
     rx = tx - vx * dist
     ry = ty - vy * dist
-    return float(np.sqrt(rx * rx + ry * ry).mean())
+    res = np.sqrt(rx * rx + ry * ry)
+    ends = np.cumsum(counts).tolist()
+    return np.array([res[:, a:b].mean(axis=1) for a, b in zip([0] + ends, ends)])
 
 
-def associate_clusters_vaf(tracks: list[LaneTrack], clusters: list[np.ndarray],
+def associate_clusters_vaf(tracks: list[LaneTrack], centroid_xs: list[float],
                            vaf: np.ndarray, row_above: int,
                            assoc_threshold: float = 12.0) -> dict[int, int]:
-    """One-to-one greedy matching of active tracks to row clusters.
+    """One-to-one greedy matching of active tracks to row cluster centroids.
 
     Returns {track index -> cluster index}; pairs are taken in ascending
     association error and rejected above assoc_threshold.
     """
-    centroids = [float(cl.mean()) for cl in clusters]
-    err = np.array([[association_error(track, cx, row_above, vaf) for cx in centroids]
-                    for track in tracks]).reshape(len(tracks), len(clusters))
+    if not tracks:
+        return {}
+    err = association_error(tracks, centroid_xs, row_above, vaf)
     return greedy_pairs(err, err <= assoc_threshold)
 
 
@@ -241,32 +244,26 @@ def decode(seg_prob: np.ndarray, af: AffinityPair,
     next_id = 1
     for row in range(h - 1, -1, -1):
         clusters = cluster_row_haf(af.haf[row], fg[row], cfg.min_cluster_size)
-        if clusters:
-            assignment = associate_clusters_vaf(
-                active, clusters, af.vaf, row, cfg.assoc_threshold)
-        else:
-            assignment = {}
+        centroids = [float(cl.mean()) for cl in clusters]
+        assignment = associate_clusters_vaf(
+            active, centroids, af.vaf, row, cfg.assoc_threshold) if clusters else {}
         survivors: list[LaneTrack] = []
         for ti, track in enumerate(active):
             if ti in assignment:
-                cl = clusters[assignment[ti]]
-                track.pixel_xs = cl
-                track.row = row
-                track.points.append((float(cl.mean()), row))
-                cluster_map[row, cl] = track.lane_id
-                survivors.append(track)
-            elif track.row - row > cfg.max_gap_rows:
+                ci = assignment[ti]
+                track.pixel_xs, track.row = clusters[ci], row
+                track.points.append((centroids[ci], row))
+                cluster_map[row, clusters[ci]] = track.lane_id
+            if track.row - row > cfg.max_gap_rows:
                 finished.append(track)
             else:
                 survivors.append(track)
         matched = set(assignment.values())
         for ci, cl in enumerate(clusters):
-            if ci in matched:
-                continue
-            track = LaneTrack(next_id, cl, row, points=[(float(cl.mean()), row)])
-            next_id += 1
-            cluster_map[row, cl] = track.lane_id
-            survivors.append(track)
+            if ci not in matched:
+                survivors.append(LaneTrack(next_id, cl, row, points=[(centroids[ci], row)]))
+                cluster_map[row, cl] = next_id
+                next_id += 1
         active = survivors
     finished.extend(active)
 

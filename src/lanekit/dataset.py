@@ -58,6 +58,9 @@ class LaneAnnotation:
         object.__setattr__(self, "lanes", tuple(
             _require_numbers(f"lane {i}", lane)
             for i, lane in enumerate(_require_list("lanes", self.lanes))))
+        for y in self.h_samples:
+            if not 0 <= y <= ORIG_H - 1:
+                raise FormatError(f"h_samples y={y} outside [0, {ORIG_H - 1}]")
         for i, lane in enumerate(self.lanes):
             if len(lane) != len(self.h_samples):
                 raise FormatError(

@@ -2,12 +2,15 @@
 
 Everything here is deliberately written as plain nested loops over scalars,
 sharing no code with the library, so agreement between the two is evidence
-of correctness rather than tautology.  There are two exceptions.
+of correctness rather than tautology.  There are three exceptions.
 :func:`forward_ref` reads each row's conv slots from ``arch.plan_block`` (the
-layer table) but chains the rows and runs every kernel itself.  And
+layer table) but chains the rows and runs every kernel itself.
 :func:`prelu_bits_ref` and :func:`maxpool2x2_bits_ref` are the library's
 earlier numpy kernels, kept as byte-exact references for the float32 kernels
-that replaced them: they define the bits of ±0, ±inf and NaN results.
+that replaced them: they define the bits of ±0, ±inf and NaN results.  And
+:func:`decode_ref` is the library's earlier decoder, one column and one
+(track, cluster) pair at a time, kept as the byte-exact reference for the
+row-array decoder; it shares the greedy matcher and the result types.
 """
 from __future__ import annotations
 
@@ -16,7 +19,9 @@ import math
 
 import numpy as np
 
+from lanekit.affinity import DecodedLane, DecodedLanes
 from lanekit.arch import plan_block
+from lanekit.matching import greedy_pairs
 
 
 def conv2d_ref(x, kernel, stride=(1, 1), dilation=(1, 1), padding=(0, 0)):
@@ -158,6 +163,80 @@ def association_error_ref(pixel_xs, row, centroid_x, row_above, vaf):
         ry = ty - float(vaf[1, row, x]) * dist
         total += math.sqrt(rx * rx + ry * ry)
     return total / len(pixel_xs)
+
+
+def _cluster_row_ref(haf_row, fg_row, min_cluster_size):
+    clusters = []
+    prev = None
+    for c in np.flatnonzero(fg_row):
+        cur = haf_row[c]
+        if not clusters or (prev <= 0.0 and cur > 0.0):
+            clusters.append([int(c)])
+        else:
+            clusters[-1].append(int(c))
+        prev = cur
+    return [np.asarray(cl, dtype=np.int64) for cl in clusters
+            if len(cl) >= min_cluster_size]
+
+
+def association_error_pair_ref(pixel_xs, row, centroid_x, row_above, vaf):
+    """The earlier numpy residual of one (track, cluster) pair: it defines the
+    bits of each entry of the row array."""
+    xs = pixel_xs.astype(np.float64)
+    tx = centroid_x - xs
+    ty = float(row_above - row)
+    dist = np.sqrt(tx * tx + ty * ty)
+    vx = vaf[0, row, pixel_xs].astype(np.float64)
+    vy = vaf[1, row, pixel_xs].astype(np.float64)
+    rx = tx - vx * dist
+    ry = ty - vy * dist
+    return float(np.sqrt(rx * rx + ry * ry).mean())
+
+
+def decode_ref(seg_prob, af, cfg):
+    """Lane decoding with one call per (track, cluster) pair; a track is a
+    list [lane id, pixel xs, row, points]."""
+    seg_prob = np.asarray(seg_prob, dtype=np.float32)
+    h, w = seg_prob.shape
+    fg = seg_prob >= cfg.fg_threshold
+    cluster_map = np.zeros((h, w), dtype=np.int32)
+    active, finished = [], []
+    next_id = 1
+    for row in range(h - 1, -1, -1):
+        clusters = _cluster_row_ref(af.haf[row], fg[row], cfg.min_cluster_size)
+        assignment = {}
+        if clusters:
+            centroids = [float(cl.mean()) for cl in clusters]
+            err = np.array([[association_error_pair_ref(t[1], t[2], cx, row, af.vaf)
+                             for cx in centroids] for t in active])
+            err = err.reshape(len(active), len(clusters))
+            assignment = greedy_pairs(err, err <= cfg.assoc_threshold)
+        survivors = []
+        for ti, track in enumerate(active):
+            if ti in assignment:
+                cl = clusters[assignment[ti]]
+                track[1], track[2] = cl, row
+                track[3].append((float(cl.mean()), row))
+                cluster_map[row, cl] = track[0]
+                survivors.append(track)
+            elif track[2] - row > cfg.max_gap_rows:
+                finished.append(track)
+            else:
+                survivors.append(track)
+        matched = set(assignment.values())
+        for ci, cl in enumerate(clusters):
+            if ci not in matched:
+                survivors.append([next_id, cl, row, [(float(cl.mean()), row)]])
+                cluster_map[row, cl] = next_id
+                next_id += 1
+        active = survivors
+    finished.extend(active)
+    kept = sorted((t for t in finished if len(t[3]) >= cfg.min_lane_rows),
+                  key=lambda t: t[0])
+    relabel = np.zeros(next_id, dtype=np.int32)
+    relabel[[t[0] for t in kept]] = np.arange(1, len(kept) + 1)
+    lanes = tuple(DecodedLane(i, tuple(t[3])) for i, t in enumerate(kept, 1))
+    return DecodedLanes(lanes, relabel[cluster_map])
 
 
 def encode_ref(mask):

@@ -8,7 +8,7 @@ from lanekit import synth
 from lanekit.errors import CodecError, ShapeError
 from lanekit.evaluate import EvalConfig
 
-from oracles import association_error_ref, best_label_agreement_ref, encode_ref
+from oracles import association_error_ref, best_label_agreement_ref, decode_ref, encode_ref
 
 
 def vertical_lane_mask(width=3, rows=10, h=16, w=24, lane=1, x0=10):
@@ -177,8 +177,8 @@ def test_association_error_zero_on_true_field():
     mask = vertical_lane_mask(width=3)
     pair = af.encode_affinities(mask)
     track = ideal_track([10, 11, 12], 12)
-    err = af.association_error(track, 11.0, 11, pair.vaf)
-    assert err <= 1e-6
+    err = af.association_error([track], [11.0], 11, pair.vaf)
+    assert err.shape == (1, 1) and err[0, 0] <= 1e-6
 
 
 def test_association_two_lanes_cross_error_is_lane_distance():
@@ -187,38 +187,37 @@ def test_association_two_lanes_cross_error_is_lane_distance():
     mask[:, 10] = 1
     mask[:, 50] = 2
     pair = af.encode_affinities(mask)
-    t1 = ideal_track([10], 8)
-    err_own = af.association_error(t1, 10.0, 7, pair.vaf)
-    err_cross = af.association_error(t1, 50.0, 7, pair.vaf)
-    assert err_own <= 1e-6
-    assert err_cross > 35.0  # roughly the 40 px lane separation
-    matched = af.associate_clusters_vaf(
-        [t1, ideal_track([50], 8)],
-        [np.array([10]), np.array([50])], pair.vaf, 7)
-    assert matched == {0: 0, 1: 1}
+    tracks = [ideal_track([10], 8), ideal_track([50], 8)]
+    err = af.association_error(tracks, [10.0, 50.0], 7, pair.vaf)
+    assert err.shape == (2, 2)
+    assert err[0, 0] <= 1e-6 and err[1, 1] <= 1e-6
+    assert err[0, 1] > 35.0 and err[1, 0] > 35.0  # roughly the 40 px lane separation
+    assert af.associate_clusters_vaf(tracks, [10.0, 50.0], pair.vaf, 7) == {0: 0, 1: 1}
 
 
 def test_association_error_matches_bruteforce_on_toy_grid():
     rng = np.random.default_rng(5)
     vaf = rng.uniform(-1, 1, (2, 6, 8)).astype(np.float32)
-    tracks = [ideal_track([1, 2], 4), ideal_track([5, 6, 7], 5)]
-    clusters = [np.array([0, 1]), np.array([4, 5])]
-    for track in tracks:
-        for cl in clusters:
-            got = af.association_error(track, float(cl.mean()), track.row - 1, vaf)
-            ref = association_error_ref(track.pixel_xs, track.row,
-                                        float(cl.mean()), track.row - 1, vaf)
-            assert abs(got - ref) <= 1e-6
+    # tracks of different lengths on different rows, so each pixel has its own dy
+    tracks = [ideal_track([1, 2], 4), ideal_track([5, 6, 7], 5), ideal_track([3], 4)]
+    centroids = [float(np.mean(cl)) for cl in ([0, 1], [4, 5], [7])]
+    for row_above in (3, 1):
+        err = af.association_error(tracks, centroids, row_above, vaf)
+        assert err.shape == (3, 3)
+        for ti, track in enumerate(tracks):
+            for ci, cx in enumerate(centroids):
+                ref = association_error_ref(track.pixel_xs, track.row, cx, row_above, vaf)
+                assert abs(err[ti, ci] - ref) <= 1e-6
 
 
 def test_association_respects_threshold():
     vaf = np.zeros((2, 8, 8), dtype=np.float32)
     vaf[1] = -1.0
     track = ideal_track([1], 5)
-    far_cluster = [np.array([7])]  # ~6 px away horizontally
-    assert af.associate_clusters_vaf([track], far_cluster, vaf, 4,
+    far_centroid = [7.0]  # ~6 px away horizontally
+    assert af.associate_clusters_vaf([track], far_centroid, vaf, 4,
                                      assoc_threshold=3.0) == {}
-    assert af.associate_clusters_vaf([track], far_cluster, vaf, 4,
+    assert af.associate_clusters_vaf([track], far_centroid, vaf, 4,
                                      assoc_threshold=12.0) == {0: 0}
 
 
@@ -316,6 +315,45 @@ def test_decode_keeps_lanes_of_at_least_min_lane_rows(min_rows):
         decoded = af.decode((mask > 0).astype(np.float32), af.encode_affinities(mask), cfg)
         assert len(decoded.lanes) == lanes, (min_rows, rows)
         assert (decoded.cluster_map > 0).sum() == 2 * rows * lanes
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 0.6])
+def test_decode_bytes_equal_reference_on_scenes(sigma):
+    for seed in range(20):
+        mask, _ = synth.generate(synth.random_scene_spec(seed))
+        pair = synth.perturb_fields(af.encode_affinities(mask), sigma, seed)
+        seg = (mask > 0).astype(np.float32)
+        got, ref = af.decode(seg, pair), decode_ref(seg, pair, af.DecodeConfig())
+        assert got.to_json() == ref.to_json(), seed
+        assert got.cluster_map.dtype == ref.cluster_map.dtype
+        assert got.cluster_map.tobytes() == ref.cluster_map.tobytes(), seed
+
+
+def test_decode_cost_is_bounded_on_adversarial_map(monkeypatch):
+    # every pixel foreground and every other haf positive: each row splits
+    # into W/2 two-pixel clusters, and each carries on the track below it
+    h, w = 88, 160
+    haf = np.tile(np.where(np.arange(w) % 2 == 0, 1.0, -1.0), (h, 1))
+    vaf = np.zeros((2, h, w))
+    vaf[1] = -1.0
+    scored, clusters = [], []
+    error, cluster_row = af.association_error, af.cluster_row_haf
+
+    def counted_error(*args):
+        scored.append(1)
+        return error(*args)
+
+    def counted_clusters(*args):
+        out = cluster_row(*args)
+        clusters.append(len(out))
+        return out
+
+    monkeypatch.setattr(af, "association_error", counted_error)
+    monkeypatch.setattr(af, "cluster_row_haf", counted_clusters)
+    decoded = af.decode(np.ones((h, w), np.float32), af.AffinityPair(haf, vaf))
+    assert len(decoded.lanes) == w // 2
+    assert len(scored) <= h
+    assert len(clusters) == h and max(clusters) <= -(-w // 2)
 
 
 def test_best_label_agreement_matches_exhaustive_oracle():

@@ -98,6 +98,24 @@ def test_encode_non_object_line_exits_2(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "000000.mask.aft"))
 
 
+def test_encode_reports_out_of_range_h_samples(tmp_path, capsys):
+    # a whole number too large for a float once reached rasterize and raised
+    # OverflowError out of main; -5000 encoded silently
+    path = tmp_path / "labels.json"
+    lines = [json.dumps({"lanes": [[640.0, 640.0]], "h_samples": [160, y], "raw_file": "a.jpg"})
+             for y in (-5000, 10 ** 400)]
+    good = json.dumps({"lanes": [[640.0] * len(H_SAMPLES)],
+                       "h_samples": H_SAMPLES, "raw_file": "b.jpg"})
+    path.write_text("\n".join(lines + [good]) + "\n")
+    out = str(tmp_path / "enc")
+    assert run(["encode", "--labels", str(path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "line 1: h_samples y=-5000 outside [0, 719]" in err
+    assert "line 2: h_samples y=1" in err
+    assert os.path.exists(os.path.join(out, "000000.mask.aft"))
+    assert not os.path.exists(os.path.join(out, "000001.mask.aft"))
+
+
 # ------------------------------------------------------------------ decode
 
 def synth_scene(tmp_path, seed=5, lanes=3):

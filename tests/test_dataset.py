@@ -123,6 +123,23 @@ def test_parse_rejects_out_of_range_x(tmp_path):
     assert anns == [] and len(errors) == 1
 
 
+@pytest.mark.parametrize("y", [-1, -5000, D.ORIG_H, 10 ** 400])
+def test_parse_reports_out_of_range_h_samples(tmp_path, y):
+    with pytest.raises(FormatError, match="h_samples y="):
+        D.LaneAnnotation("a", [160, y], [[5, 6]])
+    errors: list[str] = []
+    line = json.dumps({"raw_file": "a", "h_samples": [160, y], "lanes": [[5, 6]]})
+    anns = D.parse_tusimple(write_labels(tmp_path, [line, label_line([])]), errors)
+    assert len(anns) == 1
+    assert errors == [f"line 1: h_samples y={y} outside [0, {D.ORIG_H - 1}]"]
+
+
+def test_annotation_accepts_every_row_of_the_frame_and_synth_labels():
+    assert D.LaneAnnotation("a", [0, D.ORIG_H - 1], [[5, 6]]).h_samples == (0, D.ORIG_H - 1)
+    _, ann = synth.generate(synth.SceneSpec(seed=3))
+    assert ann.h_samples == tuple(range(160, 711, 10))
+
+
 def test_serialize_parse_round_trip(tmp_path):
     ann = D.LaneAnnotation("clips/x.jpg", H_SAMPLES,
                            (tuple(vertical_lane(512)), tuple(vertical_lane(-2))))

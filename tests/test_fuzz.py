@@ -2,7 +2,9 @@
 LanekitError (tensors, weight files), or annotations plus reported errors
 (label files).  The forward kernels: their float32 outputs are byte-equal to
 reference kernels, in place or not and batched or not, on inputs full of
-signed zeros, infinities, NaN payloads, denormals and ties."""
+signed zeros, infinities, NaN payloads, denormals and ties.  The decoder: its
+lanes and cluster map are byte-equal to the pair-at-a-time reference on maps
+full of signed zeros, NaN and ties."""
 import io
 import json
 import math
@@ -14,11 +16,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lanekit import affinity as af
 from lanekit import arch
 from lanekit import dataset as D
 from lanekit import tensor as T
 from lanekit.errors import LanekitError
-from oracles import maxpool2x2_bits_ref, prelu_bits_ref
+from oracles import (association_error_pair_ref, decode_ref, maxpool2x2_bits_ref,
+                     prelu_bits_ref)
 
 # raw bytes, bytes behind the magic, and a plausible header over random dims
 aft_blobs = st.one_of(
@@ -203,3 +207,45 @@ def test_conv2d_batch_bytes_equal_single_frames(conv, c, oc, h, w, data):
                      padding=padding)
     frames = np.concatenate([T.conv2d(x[i:i + 1], p) for i in range(3)])
     assert same_bits(T.conv2d(x, p), frames)
+
+
+# ------------------------------------------------------------------ decode
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 200), min_size=1, max_size=5), st.integers(0, 8),
+       st.integers(0, 2**32 - 1))
+def test_association_error_entries_bytes_equal_pair_reference(lengths, clusters, seed):
+    # past 8 pixels numpy sums a row pairwise, not in order; each entry must
+    # keep the sum its track's pixels get alone
+    rng = np.random.default_rng(seed)
+    vaf = rng.uniform(-1, 1, (2, 6, 200)).astype(np.float32)
+    tracks = [af.LaneTrack(1, rng.choice(200, n, replace=False), int(rng.integers(1, 6)))
+              for n in lengths]
+    centroids = rng.uniform(0, 200, clusters).tolist()
+    err = af.association_error(tracks, centroids, 0, vaf)
+    ref = [[association_error_pair_ref(t.pixel_xs, t.row, cx, 0, vaf) for cx in centroids]
+           for t in tracks]
+    assert same_bits(err, np.array(ref).reshape(len(tracks), clusters))
+
+
+HAF_VALUES = np.array([-1.0, 0.0, -0.0, 0.5, 1.0, np.nan], dtype=np.float32)
+VAF_VALUES = np.array([-1.0, -0.6, -0.0, 0.0, 0.6, 1.0, np.nan], dtype=np.float32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0), st.integers(1, 3), st.integers(1, 4), st.integers(0, 3),
+       st.sampled_from([0.5, 2.0, 12.0, 1e9]))
+def test_decode_bytes_equal_reference(h, w, seed, fg_share, min_cluster_size, min_lane_rows,
+                                      max_gap_rows, assoc_threshold):
+    # the maps come from a drawn seed: drawn value by value, hypothesis
+    # keeps them to a few hundred pixels and takes ~10x as long
+    rng = np.random.default_rng(seed)
+    seg = (rng.random((h, w)) < fg_share).astype(np.float32)
+    pair = af.AffinityPair(HAF_VALUES[rng.integers(0, len(HAF_VALUES), (h, w))],
+                           VAF_VALUES[rng.integers(0, len(VAF_VALUES), (2, h, w))])
+    cfg = af.DecodeConfig(assoc_threshold=assoc_threshold, min_cluster_size=min_cluster_size,
+                          min_lane_rows=min_lane_rows, max_gap_rows=max_gap_rows)
+    got, ref = af.decode(seg, pair, cfg), decode_ref(seg, pair, cfg)
+    assert got.to_json() == ref.to_json()
+    assert same_bits(got.cluster_map, ref.cluster_map)
