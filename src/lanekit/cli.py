@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 input/format error, 3 evaluation mismatch,
 4 internal invariant violation.  Every command that produces files writes a
 `manifest.json` beside them echoing the resolved configuration, so a run can
 be reproduced bit-for-bit.  Numeric flag defaults come straight from the
-library config dataclasses; CLI and library cannot drift.
+library's config dataclasses and constants; CLI and library cannot drift.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ EXIT_INVARIANT = 4
 
 _DECODE_DEFAULTS = DecodeConfig()
 _EVAL_DEFAULTS = EvalConfig()
+_SCENE_DEFAULTS = synth.SceneSpec()
 
 
 def _write_manifest(directory: str, command: str, config: dict,
@@ -339,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     enc = sub.add_parser("encode", help="rasterize labels and emit GT field maps")
     enc.add_argument("--labels", required=True)
     enc.add_argument("--out", required=True)
-    enc.add_argument("--thickness", type=int, default=2)
-    enc.add_argument("--res", default="160x88")
+    enc.add_argument("--thickness", type=int, default=dataset.LABEL_THICKNESS)
+    enc.add_argument("--res", default=f"{dataset.MAP_W}x{dataset.MAP_H}")
     enc.add_argument("--jobs", type=int, default=None,
                      help="accepted for compatibility; frames are encoded serially")
     enc.set_defaults(func=cmd_encode)
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_eval)
 
     ar = sub.add_parser("arch", help="network shape/param/FLOP report")
-    ar.add_argument("--input", default="640x352")
+    ar.add_argument("--input", default=f"{dataset.NET_W}x{dataset.NET_H}")
     ar.add_argument("--shared-heads", action="store_true")
     ar.add_argument("--format", choices=("table", "json"), default="table")
     ar.set_defaults(func=cmd_arch)
@@ -378,10 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     sy = sub.add_parser("synth", help="write one synthetic scene directory")
     sy.add_argument("--out", required=True)
     sy.add_argument("--seed", type=int, default=0)
-    sy.add_argument("--lanes", type=int, default=4)
-    sy.add_argument("--curvature", type=float, default=2.2e-4)
-    sy.add_argument("--spacing", type=float, default=18.0)
-    sy.add_argument("--width", type=int, default=2)
+    sy.add_argument("--lanes", type=int, default=_SCENE_DEFAULTS.lane_count)
+    sy.add_argument("--curvature", type=float, default=_SCENE_DEFAULTS.curvature[1])
+    sy.add_argument("--spacing", type=float, default=_SCENE_DEFAULTS.spacing)
+    sy.add_argument("--width", type=int, default=_SCENE_DEFAULTS.width)
     sy.add_argument("--merge-split", action="store_true")
     sy.set_defaults(func=cmd_synth)
 

@@ -1,10 +1,10 @@
 """Dataset ingestion, mask rasterization and geometric rescaling.
 
 Annotations follow the highway-benchmark JSON-lines convention: each line
-holds `raw_file`, `h_samples` (sampled y positions in the original 720-px
-frame) and `lanes` (per-lane x positions aligned to h_samples, -2 where the
-lane is absent).  Images are resized to 640x352 for the network; label masks
-and fields live at 160x88, one eighth of the original capture.
+holds `raw_file`, `h_samples` (strictly increasing y positions sampled in the
+original 720-px frame) and `lanes` (per-lane x positions aligned to h_samples,
+-2 where the lane is absent).  Images are resized to 640x352 for the network;
+label masks and fields live at 160x88, one eighth of the original capture.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ log = logging.getLogger(__name__)
 ORIG_W, ORIG_H = 1280, 720
 NET_W, NET_H = 640, 352
 MAP_W, MAP_H = 160, 88
+LABEL_THICKNESS = 2  # lane stroke width in map px
 
 _REQUIRED_KEYS = ("raw_file", "h_samples", "lanes")
 
@@ -61,6 +62,9 @@ class LaneAnnotation:
         for y in self.h_samples:
             if not 0 <= y <= ORIG_H - 1:
                 raise FormatError(f"h_samples y={y} outside [0, {ORIG_H - 1}]")
+        for above, y in zip(self.h_samples, self.h_samples[1:]):
+            if y <= above:
+                raise FormatError(f"h_samples must be strictly increasing: y={y} after y={above}")
         for i, lane in enumerate(self.lanes):
             if len(lane) != len(self.h_samples):
                 raise FormatError(
@@ -133,7 +137,7 @@ def serialize_annotation(ann: LaneAnnotation, run_time_ms: int | None = None) ->
 
 
 def rasterize(ann: LaneAnnotation, out_res: tuple[int, int] = (MAP_H, MAP_W),
-              thickness: int = 2) -> np.ndarray:
+              thickness: int = LABEL_THICKNESS) -> np.ndarray:
     """Stroke each lane polyline into an integer label mask.
 
     Coordinates scale from the original frame to out_res.  Each lane is
@@ -146,8 +150,8 @@ def rasterize(ann: LaneAnnotation, out_res: tuple[int, int] = (MAP_H, MAP_W),
     out_h, out_w = out_res
     sx, sy = out_w / ORIG_W, out_h / ORIG_H
     mask = np.zeros((out_h, out_w), dtype=np.int32)
+    cols = np.arange(out_w)
     ys_orig = np.asarray(ann.h_samples, dtype=np.float64)
-    painted_any = []
     for lane_idx, lane in enumerate(ann.lanes):
         xs_orig = np.asarray(lane, dtype=np.float64)
         present = xs_orig >= 0
@@ -155,27 +159,20 @@ def rasterize(ann: LaneAnnotation, out_res: tuple[int, int] = (MAP_H, MAP_W),
             if present.any():
                 log.warning("lane %d has a single present vertex; skipped", lane_idx)
             continue
+        # h_samples increase, so ys does and one interp call serves every row
         xs = xs_orig[present] * sx
         ys = ys_orig[present] * sy
-        lane_id = lane_idx + 1
         # cell-center convention: row r sees the polyline at scaled y = r + 0.5
-        r_lo = max(0, int(np.ceil(ys.min() - 0.5)))
-        r_hi = min(out_h - 1, int(np.floor(ys.max() - 0.5)))
-        wrote = False
-        for r in range(r_lo, r_hi + 1):
-            x = float(np.interp(r + 0.5, ys, xs))
-            left = int(np.floor(x - thickness / 2.0 + 0.5))
-            lo, hi = max(0, left), min(out_w, left + thickness)
-            if lo < hi:
-                mask[r, lo:hi] = lane_id
-                wrote = True
-        if wrote:
-            painted_any.append(lane_id)
-    # compact ids that survived painting (overwrites can erase a lane)
-    survivors = [i for i in painted_any if (mask == i).any()]
+        r_lo = max(0, int(np.ceil(ys[0] - 0.5)))
+        r_hi = min(out_h - 1, int(np.floor(ys[-1] - 0.5)))
+        rows = np.arange(r_lo, r_hi + 1)
+        left = np.floor(np.interp(rows + 0.5, ys, xs) - thickness / 2.0 + 0.5)[:, None]
+        mask[r_lo:r_lo + rows.size][(cols >= left) & (cols < left + thickness)] = lane_idx + 1
+    # compact the ids that survived painting (overwrites can erase a lane);
+    # np.bincount, not np.unique, whose first call costs ~1 MB of peak RSS
+    survivors = np.flatnonzero(np.bincount(mask[mask > 0]))
     relabel = np.zeros(len(ann.lanes) + 1, dtype=np.int32)
-    for new, old in enumerate(survivors, start=1):
-        relabel[old] = new
+    relabel[survivors] = np.arange(1, survivors.size + 1)
     return relabel[mask]
 
 
@@ -190,19 +187,15 @@ def lanes_to_annotation(decoded, h_samples, raw_file: str = "") -> LaneAnnotatio
     hs = np.asarray(h_samples, dtype=np.float64)
     lanes = []
     for lane in decoded.lanes:
-        pts = np.asarray([(x, y) for x, y in lane.points], dtype=np.float64)
-        if pts.size == 0:
-            lanes.append([-2.0] * len(hs))
-            continue
-        # map cell index c spans original [c*s, (c+1)*s); its center is c + 0.5
-        xs = (pts[:, 0] + 0.5) * sx
-        ys = (pts[:, 1] + 0.5) * sy
-        order = np.argsort(ys)
-        xs, ys = xs[order], ys[order]
         out = np.full(len(hs), -2.0)
-        inside = (hs >= ys[0]) & (hs <= ys[-1])
-        if inside.any():
-            vals = np.interp(hs[inside], ys, xs)
-            out[inside] = np.clip(vals, 0.0, ORIG_W - 1)
-        lanes.append([float(v) for v in out])
-    return LaneAnnotation(raw_file, tuple(int(y) for y in h_samples), tuple(map(tuple, lanes)))
+        if lane.points:
+            pts = np.asarray(lane.points, dtype=np.float64)
+            # map cell index c spans original [c*s, (c+1)*s); its center is c + 0.5
+            xs = (pts[:, 0] + 0.5) * sx
+            ys = (pts[:, 1] + 0.5) * sy
+            order = np.argsort(ys)
+            xs, ys = xs[order], ys[order]
+            inside = (hs >= ys[0]) & (hs <= ys[-1])
+            out[inside] = np.clip(np.interp(hs[inside], ys, xs), 0.0, ORIG_W - 1)
+        lanes.append(out.tolist())
+    return LaneAnnotation(raw_file, tuple(int(y) for y in h_samples), lanes)

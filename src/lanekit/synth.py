@@ -17,7 +17,7 @@ from .affinity import AffinityPair, DecodeConfig, best_label_agreement, decode, 
 from .dataset import MAP_H, MAP_W, ORIG_H, ORIG_W, LaneAnnotation, rasterize
 from .errors import SceneError
 
-H_SAMPLE_START, H_SAMPLE_STEP = 160, 10
+H_SAMPLES = np.arange(160, ORIG_H - 9, 10)  # the y rows every scene samples
 
 
 @dataclass(frozen=True)
@@ -68,40 +68,29 @@ def generate(spec: SceneSpec) -> tuple[np.ndarray, LaneAnnotation]:
         if hi - lo > ORIG_W - 2 * margin:
             continue  # envelope cannot fit; resample
         center = (ORIG_W - (hi + lo)) / 2.0
-        xs_of = lambda l, t: center + offsets[l] + b[l] * t + a[l] * t * t
 
         t_end = np.full(spec.lane_count, t_max)
         if spec.merge_split and spec.lane_count >= 2:
             victim = int(rng.integers(0, spec.lane_count))
             t_end[victim] = t_max * float(rng.uniform(0.45, 0.6))
 
-        h_samples = list(range(H_SAMPLE_START, ORIG_H - 9, H_SAMPLE_STEP))
-        lanes = []
-        for l in range(spec.lane_count):
-            row = []
-            for y in h_samples:
-                t = ORIG_H - y
-                if t <= t_end[l] and y >= y_top:
-                    row.append(float(np.clip(round(xs_of(l, t)), 0, ORIG_W - 1)))
-                else:
-                    row.append(-2.0)
-            lanes.append(tuple(row))
-        ann = LaneAnnotation("synthetic", tuple(h_samples), tuple(lanes))
-        if _ordered_and_separated(ann, spec):
+        t = ORIG_H - H_SAMPLES
+        xs = center + offsets[:, None] + b[:, None] * t + (a[:, None] * t) * t
+        xs = np.where((t <= t_end[:, None]) & (H_SAMPLES >= y_top),
+                      np.clip(np.round(xs), 0, ORIG_W - 1), -2.0)
+        if _ordered_and_separated(xs, spec):
+            ann = LaneAnnotation("synthetic", H_SAMPLES.tolist(), xs.tolist())
             return rasterize(ann, (MAP_H, MAP_W), spec.width), ann
     raise SceneError(f"could not realize a non-crossing scene for {spec}")
 
 
-def _ordered_and_separated(ann: LaneAnnotation, spec: SceneSpec) -> bool:
-    """Per-row x ordering with at least width+1 map px between lanes."""
+def _ordered_and_separated(xs: np.ndarray, spec: SceneSpec) -> bool:
+    """Per-row x ordering with at least width+1 map px between the present
+    lanes of *xs* (lanes x samples, -2 where absent)."""
     min_gap = (spec.width + 1) * (ORIG_W / MAP_W)
-    lanes = np.asarray(ann.lanes, dtype=np.float64)
-    for col in range(lanes.shape[1]):
-        xs = lanes[:, col]
-        xs = xs[xs >= 0]
-        if len(xs) >= 2 and np.diff(np.sort(xs)).min() < min_gap:
-            return False
-    return True
+    # an absent vertex becomes NaN, which sorts last and fails every comparison
+    present = np.sort(np.where(xs >= 0, xs, np.nan), axis=0)
+    return not (np.diff(present, axis=0) < min_gap).any()
 
 
 def perturb_fields(af: AffinityPair, sigma: float, seed: int = 0) -> AffinityPair:
@@ -120,8 +109,6 @@ def perturb_fields(af: AffinityPair, sigma: float, seed: int = 0) -> AffinityPai
     vaf = af.vaf.copy()
     fg = (af.haf != 0) | (af.vaf[0] != 0) | (af.vaf[1] != 0)
     n = int(fg.sum())
-    if n == 0:
-        return AffinityPair(haf, vaf)
     theta_h = rng.normal(0.0, sigma, n).astype(np.float32)
     theta_v = rng.normal(0.0, sigma, n).astype(np.float32)
     haf[fg] = haf[fg] * np.cos(theta_h)

@@ -331,7 +331,11 @@ def tensor_from_bytes(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
 def atomic_write_bytes(path: str, blob: bytes) -> None:
     """Write via temp file + rename so readers never observe partial files."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    except OSError as e:
+        # the error would name the random temp file, not the requested path
+        raise OSError(e.errno, e.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(blob)

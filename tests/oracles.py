@@ -2,7 +2,7 @@
 
 Everything here is deliberately written as plain nested loops over scalars,
 sharing no code with the library, so agreement between the two is evidence
-of correctness rather than tautology.  There are three exceptions.
+of correctness rather than tautology.  There are four exceptions.
 :func:`forward_ref` reads each row's conv slots from ``arch.plan_block`` (the
 layer table) but chains the rows and runs every kernel itself.
 :func:`prelu_bits_ref` and :func:`maxpool2x2_bits_ref` are the library's
@@ -11,6 +11,10 @@ that replaced them: they define the bits of ±0, ±inf and NaN results.  And
 :func:`decode_ref` is the library's earlier decoder, one column and one
 (track, cluster) pair at a time, kept as the byte-exact reference for the
 row-array decoder; it shares the greedy matcher and the result types.
+Last, :func:`rasterize_ref` and :func:`generate_ref` are the library's
+earlier label path, one row and one (lane, sample) at a time, kept as the
+byte-exact reference for the array rasterizer and scene generator; they
+share the annotation type and the random scene geometry.
 """
 from __future__ import annotations
 
@@ -21,7 +25,10 @@ import numpy as np
 
 from lanekit.affinity import DecodedLane, DecodedLanes
 from lanekit.arch import plan_block
+from lanekit.dataset import MAP_H, MAP_W, ORIG_H, ORIG_W, LaneAnnotation
+from lanekit.errors import SceneError
 from lanekit.matching import greedy_pairs
+from lanekit.synth import _sample_geometry
 
 
 def conv2d_ref(x, kernel, stride=(1, 1), dilation=(1, 1), padding=(0, 0)):
@@ -420,3 +427,86 @@ def forward_ref(spec, store, image):
             head_ch = layer.out_channels
         outputs[head.name] = y
     return outputs
+
+
+def rasterize_ref(ann, out_res, thickness):
+    """The library's earlier rasterizer: one np.interp call and one slice per
+    row, then a scan of the mask per painted lane to compact the ids."""
+    out_h, out_w = out_res
+    sx, sy = out_w / ORIG_W, out_h / ORIG_H
+    mask = np.zeros((out_h, out_w), dtype=np.int32)
+    ys_orig = np.asarray(ann.h_samples, dtype=np.float64)
+    painted_any = []
+    for lane_idx, lane in enumerate(ann.lanes):
+        xs_orig = np.asarray(lane, dtype=np.float64)
+        present = xs_orig >= 0
+        if present.sum() < 2:
+            continue
+        xs = xs_orig[present] * sx
+        ys = ys_orig[present] * sy
+        lane_id = lane_idx + 1
+        r_lo = max(0, int(np.ceil(ys.min() - 0.5)))
+        r_hi = min(out_h - 1, int(np.floor(ys.max() - 0.5)))
+        wrote = False
+        for r in range(r_lo, r_hi + 1):
+            x = float(np.interp(r + 0.5, ys, xs))
+            left = int(np.floor(x - thickness / 2.0 + 0.5))
+            lo, hi = max(0, left), min(out_w, left + thickness)
+            if lo < hi:
+                mask[r, lo:hi] = lane_id
+                wrote = True
+        if wrote:
+            painted_any.append(lane_id)
+    survivors = [i for i in painted_any if (mask == i).any()]
+    relabel = np.zeros(len(ann.lanes) + 1, dtype=np.int32)
+    for new, old in enumerate(survivors, start=1):
+        relabel[old] = new
+    return relabel[mask]
+
+
+def _ordered_and_separated_ref(ann, spec):
+    min_gap = (spec.width + 1) * (ORIG_W / MAP_W)
+    lanes = np.asarray(ann.lanes, dtype=np.float64)
+    for col in range(lanes.shape[1]):
+        xs = lanes[:, col]
+        xs = xs[xs >= 0]
+        if len(xs) >= 2 and np.diff(np.sort(xs)).min() < min_gap:
+            return False
+    return True
+
+
+def generate_ref(spec):
+    """The library's earlier scene generator: one scalar polynomial per
+    (lane, sample) and one separation check per sample column.  The random
+    geometry comes from the library's ``_sample_geometry``, so both draw the
+    same numbers; the mask comes from :func:`rasterize_ref`."""
+    rng = np.random.default_rng(spec.seed)
+    margin = 8.0 * (spec.width + 1)
+    for _attempt in range(100):
+        y_top, t_max, a, b, offsets = _sample_geometry(spec, rng)
+        ts = np.linspace(0.0, t_max, 64)
+        raw = offsets[:, None] + b[:, None] * ts[None, :] + a[:, None] * ts[None, :] ** 2
+        lo, hi = raw.min(), raw.max()
+        if hi - lo > ORIG_W - 2 * margin:
+            continue
+        center = (ORIG_W - (hi + lo)) / 2.0
+        t_end = np.full(spec.lane_count, t_max)
+        if spec.merge_split and spec.lane_count >= 2:
+            victim = int(rng.integers(0, spec.lane_count))
+            t_end[victim] = t_max * float(rng.uniform(0.45, 0.6))
+        h_samples = list(range(160, ORIG_H - 9, 10))
+        lanes = []
+        for lane in range(spec.lane_count):
+            row = []
+            for y in h_samples:
+                t = ORIG_H - y
+                if t <= t_end[lane] and y >= y_top:
+                    x = center + offsets[lane] + b[lane] * t + a[lane] * t * t
+                    row.append(float(np.clip(round(x), 0, ORIG_W - 1)))
+                else:
+                    row.append(-2.0)
+            lanes.append(tuple(row))
+        ann = LaneAnnotation("synthetic", tuple(h_samples), tuple(lanes))
+        if _ordered_and_separated_ref(ann, spec):
+            return rasterize_ref(ann, (MAP_H, MAP_W), spec.width), ann
+    raise SceneError(f"could not realize a non-crossing scene for {spec}")

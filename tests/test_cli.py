@@ -1,12 +1,15 @@
+import inspect
 import json
 import os
 
 import numpy as np
 
-from lanekit import cli
+from lanekit import cli, synth
 from lanekit import dataset as D
 from lanekit import tensor as T
+from lanekit.affinity import AffinityPair
 from lanekit.arch import build_enet21, random_weights, save_weights
+from lanekit.losses import total_loss
 
 H_SAMPLES = list(range(160, 720, 10))
 
@@ -116,6 +119,33 @@ def test_encode_reports_out_of_range_h_samples(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "000001.mask.aft"))
 
 
+def test_encode_reports_h_samples_that_do_not_increase(tmp_path, capsys):
+    path = tmp_path / "labels.json"
+    good = json.dumps({"lanes": [[640.0] * len(H_SAMPLES)],
+                       "h_samples": H_SAMPLES, "raw_file": "b.jpg"})
+    bad = json.dumps({"lanes": [[600.0, 680.0]], "h_samples": [710, 300], "raw_file": "a.jpg"})
+    path.write_text("\n".join([good, bad]) + "\n")
+    out = str(tmp_path / "enc")
+    assert run(["encode", "--labels", str(path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "line 2: h_samples must be strictly increasing: y=300 after y=710" in err
+    assert sorted(os.listdir(out)) == ["000000.haf.aft", "000000.mask.aft",
+                                       "000000.vaf.aft", "manifest.json"]
+
+
+def test_parser_defaults_come_from_the_library():
+    parser = cli.build_parser()
+    enc = parser.parse_args(["encode", "--labels", "l", "--out", "o"])
+    raster = inspect.signature(D.rasterize).parameters
+    assert enc.thickness == raster["thickness"].default == D.LABEL_THICKNESS
+    assert cli._parse_res(enc.res) == raster["out_res"].default == (D.MAP_H, D.MAP_W)
+    spec = synth.SceneSpec()
+    sy = parser.parse_args(["synth", "--out", "o"])
+    assert (sy.lanes, (-sy.curvature, sy.curvature), sy.spacing, sy.width) == (
+        spec.lane_count, spec.curvature, spec.spacing, spec.width)
+    assert cli._parse_res(parser.parse_args(["arch"]).input) == (D.NET_H, D.NET_W)
+
+
 # ------------------------------------------------------------------ decode
 
 def synth_scene(tmp_path, seed=5, lanes=3):
@@ -184,6 +214,20 @@ def test_decode_corrupt_magic_exits_2_no_partial_output(tmp_path):
                 "--vaf", os.path.join(scene, "vaf.aft"),
                 "--out", out]) == 2
     assert not os.path.exists(out)
+
+
+def test_decode_into_missing_directory_names_the_requested_path(tmp_path, capsys):
+    scene = synth_scene(tmp_path, seed=6, lanes=2)
+    out = str(tmp_path / "nodir" / "lanes.json")
+    assert run(["decode", "--seg", os.path.join(scene, "mask.aft"),
+                "--haf", os.path.join(scene, "haf.aft"),
+                "--vaf", os.path.join(scene, "vaf.aft"),
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    # the error once named a random temp file beside the requested one
+    assert f"No such file or directory: {out!r}" in err and ".tmp" not in err
+    assert not os.path.exists(os.path.dirname(out))
+    assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
 
 
 def test_decode_resolution_mismatch_exits_2(tmp_path):
@@ -424,3 +468,32 @@ def test_loss_cli_perfect_prediction(tmp_path, capsys):
     assert payload["iou"] <= 1e-6
     assert payload["wbce"] <= 1e-6
     assert payload["total"] == payload["wbce"] + payload["iou"] + payload["af"]
+
+
+def test_loss_cli_inverts_probabilities_without_logits(tmp_path, capsys):
+    # a prediction directory with seg.aft only: logits come from inverting
+    # the sigmoid of the probabilities, clipped away from 0 and 1
+    scene = synth_scene(tmp_path, seed=10, lanes=3)
+    capsys.readouterr()
+    pred = str(tmp_path / "pred")
+    os.makedirs(pred)
+    rng = np.random.default_rng(4)
+    probs = rng.random((88, 160)).astype(np.float32)
+    probs[:4] = 0.0
+    probs[-4:] = 1.0
+    T.save_tensor(os.path.join(pred, "seg.aft"), probs)
+    haf = rng.uniform(-1, 1, (88, 160)).astype(np.float32)
+    vaf = rng.uniform(-1, 1, (2, 88, 160)).astype(np.float32)
+    T.save_tensor(os.path.join(pred, "haf.aft"), haf)
+    T.save_tensor(os.path.join(pred, "vaf.aft"), vaf)
+    assert run(["loss", "--pred", pred, "--gt", scene, "--weight", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+
+    p = np.clip(probs, 1e-6, 1 - 1e-6)
+    mask = T.load_tensor(os.path.join(scene, "mask.aft"))
+    gt = AffinityPair(T.load_tensor(os.path.join(scene, "haf.aft")),
+                      T.load_tensor(os.path.join(scene, "vaf.aft")))
+    want = total_loss(np.log(p / (1 - p)), haf, vaf, (mask > 0).astype(np.float64), gt, w=3.0)
+    assert np.isfinite(want.total)
+    assert (payload["wbce"], payload["iou"], payload["af"], payload["total"]) == (
+        want.wbce, want.iou, want.af, want.total)

@@ -134,6 +134,28 @@ def test_parse_reports_out_of_range_h_samples(tmp_path, y):
     assert errors == [f"line 1: h_samples y={y} outside [0, {D.ORIG_H - 1}]"]
 
 
+@pytest.mark.parametrize("h_samples, message", [
+    ([160, 170, 165], "y=165 after y=170"),
+    ([710, 300], "y=300 after y=710"),
+    ([160, 170, 170], "y=170 after y=170"),
+])
+def test_parse_reports_h_samples_that_do_not_increase(tmp_path, h_samples, message):
+    # a descending lane was once accepted and painted at one constant column
+    lane = [600.0] * len(h_samples)
+    with pytest.raises(FormatError, match=message):
+        D.LaneAnnotation("a", h_samples, [lane])
+    errors: list[str] = []
+    line = json.dumps({"raw_file": "a", "h_samples": h_samples, "lanes": [lane]})
+    anns = D.parse_tusimple(write_labels(tmp_path, [label_line([]), line]), errors)
+    assert len(anns) == 1
+    assert errors == [f"line 2: h_samples must be strictly increasing: {message}"]
+
+
+def test_out_of_range_h_sample_is_reported_before_the_order():
+    with pytest.raises(FormatError, match=r"^h_samples y=800 outside \[0, 719\]$"):
+        D.LaneAnnotation("a", [300, 160, 800], [[5, 6, 7]])
+
+
 def test_annotation_accepts_every_row_of_the_frame_and_synth_labels():
     assert D.LaneAnnotation("a", [0, D.ORIG_H - 1], [[5, 6]]).h_samples == (0, D.ORIG_H - 1)
     _, ann = synth.generate(synth.SceneSpec(seed=3))
@@ -215,6 +237,20 @@ def test_rasterize_later_lane_overwrites():
     ids = np.unique(mask)
     assert 1 in ids  # overwritten lane compacts to id 1
     assert mask.max() == 1
+
+
+def test_rasterize_interpolates_between_increasing_samples():
+    ann = D.LaneAnnotation("a.jpg", [300, 710], [[680.0, 600.0]])
+    mask = D.rasterize(ann)
+    assert [np.nonzero(mask[r])[0].tolist() for r in (40, 60, 80)] == [[83, 84], [79, 80],
+                                                                         [75, 76]]
+
+
+def test_rasterize_compacts_ids_on_a_fully_painted_mask():
+    # the second lane paints every pixel and erases the first: no 0 is left
+    ann = D.LaneAnnotation("a.jpg", [0, D.ORIG_H - 1], [[3.0, 3.0], [640.0, 640.0]])
+    mask = D.rasterize(ann, (9, 7), thickness=7)
+    assert mask.dtype == np.int32 and (mask == 1).all()
 
 
 # ------------------------------------------------------ lanes_to_annotation

@@ -4,7 +4,8 @@ LanekitError (tensors, weight files), or annotations plus reported errors
 reference kernels, in place or not and batched or not, on inputs full of
 signed zeros, infinities, NaN payloads, denormals and ties.  The decoder: its
 lanes and cluster map are byte-equal to the pair-at-a-time reference on maps
-full of signed zeros, NaN and ties."""
+full of signed zeros, NaN and ties.  The rasterizer: its masks are
+byte-equal to the row-at-a-time reference on any valid annotation."""
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import struct
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lanekit import affinity as af
@@ -22,7 +23,7 @@ from lanekit import dataset as D
 from lanekit import tensor as T
 from lanekit.errors import LanekitError
 from oracles import (association_error_pair_ref, decode_ref, maxpool2x2_bits_ref,
-                     prelu_bits_ref)
+                     prelu_bits_ref, rasterize_ref)
 
 # raw bytes, bytes behind the magic, and a plausible header over random dims
 aft_blobs = st.one_of(
@@ -249,3 +250,46 @@ def test_decode_bytes_equal_reference(h, w, seed, fg_share, min_cluster_size, mi
     got, ref = af.decode(seg, pair, cfg), decode_ref(seg, pair, cfg)
     assert got.to_json() == ref.to_json()
     assert same_bits(got.cluster_map, ref.cluster_map)
+
+
+# ------------------------------------------------------------- rasterize
+
+# x values that land on both borders, the middle, cell edges and in between
+LANE_XS = st.one_of(st.just(-2.0), st.sampled_from([0.0, 3.5, 640.0, 1275.0, 1279.0]),
+                    st.floats(0.0, D.ORIG_W - 1))
+
+
+@st.composite
+def rasterize_cases(draw):
+    """(annotation, out_res, thickness) with strictly increasing h_samples."""
+    hs = draw(st.sets(st.integers(0, D.ORIG_H - 1), min_size=1, max_size=24))
+    if draw(st.booleans()):
+        hs |= {0, D.ORIG_H - 1}  # lanes that span every row
+    hs = sorted(hs)
+    lanes = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["any", "any", "vertical", "copy"]))
+        if kind == "copy" and lanes:  # a later copy erases the earlier lane
+            lanes.append(list(draw(st.sampled_from(lanes))))
+        elif kind == "vertical":
+            lanes.append([draw(LANE_XS.filter(lambda x: x >= 0))] * len(hs))
+        else:
+            lanes.append(draw(st.lists(LANE_XS, min_size=len(hs), max_size=len(hs))))
+    out_res = draw(st.one_of(st.sampled_from([(9, 7), (7, 9), (D.MAP_H, D.MAP_W)]),
+                             st.tuples(st.integers(7, 100), st.integers(7, 170))))
+    thickness = draw(st.integers(1, 8))
+    if draw(st.booleans()) and thickness >= 7:  # a stroke as wide as the frame
+        out_res = (out_res[0], thickness)
+        lanes.append([640.0] * len(hs))
+    return D.LaneAnnotation("a", hs, lanes), out_res, thickness
+
+
+@settings(max_examples=400, deadline=None)
+@given(rasterize_cases())
+# fully painted, the second lane erasing the first: the mask holds no 0
+@example((D.LaneAnnotation("a", [0, D.ORIG_H - 1], [[3.0, 3.0], [640.0, 640.0]]), (9, 7), 7))
+def test_rasterize_bytes_equal_reference(case):
+    ann, out_res, thickness = case
+    got, ref = D.rasterize(ann, out_res, thickness), rasterize_ref(ann, out_res, thickness)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()

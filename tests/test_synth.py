@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lanekit import synth
-from lanekit.affinity import best_label_agreement, decode, encode_affinities
+from lanekit.affinity import AffinityPair, best_label_agreement, decode, encode_affinities
+from lanekit.dataset import serialize_annotation
 from lanekit.errors import SceneError
+from oracles import generate_ref
 
 
 def test_single_straight_lane():
@@ -52,11 +56,28 @@ def test_spec_validation():
         synth.SceneSpec(curvature=(1e-4, -1e-4))
 
 
+def _scene_bytes(generate, spec):
+    try:
+        mask, ann = generate(spec)
+    except SceneError as e:
+        return f"SceneError: {e}"
+    return mask.dtype, mask.shape, mask.tobytes(), serialize_annotation(ann)
+
+
 def test_uncrossable_spec_rejected():
     # curvature so extreme the lane envelope cannot fit in the frame
     spec = synth.SceneSpec(lane_count=6, curvature=(0.03, 0.031), spacing=20.0, seed=0)
     with pytest.raises(SceneError):
         synth.generate(spec)
+    assert _scene_bytes(synth.generate, spec) == _scene_bytes(generate_ref, spec)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_generate_bytes_equal_reference(seed):
+    # every width the random specs leave out, and one scene in two merging
+    spec = dataclasses.replace(synth.random_scene_spec(seed, merge_split_rate=0.5),
+                               width=1 + seed % 3)
+    assert _scene_bytes(synth.generate, spec) == _scene_bytes(generate_ref, spec)
 
 
 def test_every_generated_scene_roundtrips_exactly():
@@ -87,6 +108,13 @@ def test_perturb_sigma_zero_is_identity():
     af = encode_affinities(mask)
     out = synth.perturb_fields(af, 0.0, seed=5)
     assert (out.haf == af.haf).all() and (out.vaf == af.vaf).all()
+
+
+def test_perturb_leaves_a_map_without_foreground_unchanged():
+    empty = AffinityPair(np.zeros((4, 5), np.float32), np.zeros((2, 4, 5), np.float32))
+    out = synth.perturb_fields(empty, 0.5, seed=1)
+    assert out.haf is not empty.haf and out.vaf is not empty.vaf
+    assert not out.haf.any() and not out.vaf.any()
 
 
 def test_perturb_keeps_unit_norms():
