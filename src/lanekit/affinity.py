@@ -110,8 +110,7 @@ def validate_mask(mask: np.ndarray) -> MaskRuns:
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise CodecError(f"mask must be 2-D, got shape {tuple(mask.shape)}")
-    ids = np.unique(mask)
-    ids = ids[ids > 0]
+    ids = np.unique(mask[mask > 0])
     if len(ids) and not np.array_equal(ids, np.arange(1, len(ids) + 1)):
         raise CodecError(f"lane ids must be contiguous 1..L, got {ids.tolist()}")
     h = mask.shape[0]
@@ -204,7 +203,8 @@ def association_error(tracks: list[LaneTrack], centroid_xs: list[float], row_abo
     ry = ty - vy * dist
     res = np.sqrt(rx * rx + ry * ry)
     ends = np.cumsum(counts).tolist()
-    return np.array([res[:, a:b].mean(axis=1) for a, b in zip([0] + ends, ends)])
+    return np.array([np.add.reduce(res[:, a:b], axis=1) / (b - a)
+                     for a, b in zip([0] + ends, ends)])
 
 
 def associate_clusters_vaf(tracks: list[LaneTrack], centroid_xs: list[float],
@@ -244,7 +244,7 @@ def decode(seg_prob: np.ndarray, af: AffinityPair,
     next_id = 1
     for row in range(h - 1, -1, -1):
         clusters = cluster_row_haf(af.haf[row], fg[row], cfg.min_cluster_size)
-        centroids = [float(cl.mean()) for cl in clusters]
+        centroids = [float(np.add.reduce(cl, dtype=np.float64) / len(cl)) for cl in clusters]
         assignment = associate_clusters_vaf(
             active, centroids, af.vaf, row, cfg.assoc_threshold) if clusters else {}
         survivors: list[LaneTrack] = []

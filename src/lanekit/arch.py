@@ -401,6 +401,8 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
             raise FormatError(f"tensor name {name!r} repeated at offset {off}")
         off += nlen
         arr, off = T.tensor_from_bytes(blob, off)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"tensor {name!r} holds NaN or inf")
         store[name] = arr
     if off != len(blob):
         raise FormatError(f"{len(blob) - off} trailing bytes after last entry")
@@ -467,6 +469,11 @@ def forward(spec: ArchSpec, store: dict[str, np.ndarray], image: np.ndarray):
 
     image is (N, 3, H, W) with H, W divisible by 8.  Downsampling blocks
     push pooling indices that the matching upsampling block consumes.
+
+    A batch runs frame by frame, each frame with its own pool stack, so peak
+    memory is one frame's activations whatever N is.  Every kernel keeps a
+    frame's bits independent of its batch, so the maps equal those of each
+    frame run alone.
     """
     validate_weights(spec, store)
     image = T.as_f32(image)
@@ -477,7 +484,10 @@ def forward(spec: ArchSpec, store: dict[str, np.ndarray], image: np.ndarray):
     if image.shape[2] % 8 or image.shape[3] % 8:
         raise ShapeError(f"image spatial dims {image.shape[2:]} not divisible by 8")
 
-    pool_stack: list = []
-    outputs = walk(spec, image,
-                   lambda plan, head, x: _run_block(x, plan, store, pool_stack))
-    return outputs["seg"], outputs["haf"], outputs["vaf"]
+    def run(frame):
+        pool_stack: list = []
+        return walk(spec, frame, lambda plan, head, x: _run_block(x, plan, store, pool_stack))
+
+    # an empty batch still runs once, so conv2d names its zero-sized dim
+    frames = [run(image[i:i + 1]) for i in range(max(len(image), 1))]
+    return tuple(np.concatenate([f[name] for f in frames]) for name in ("seg", "haf", "vaf"))

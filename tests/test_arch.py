@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,46 @@ def test_forward_batch_bytes_equal_single_frames(shared_heads):
             assert got[i].tobytes() == alone[0].tobytes()
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("shared_heads", [False, True])
+def test_forward_frame_bytes_ignore_a_poisoned_neighbour(shared_heads):
+    # a frame of NaN, +-inf and 1e30 next to a normal one leaves its bits alone
+    spec = arch.build_enet21(shared_heads=shared_heads)
+    store = arch.random_weights(spec, seed=5)
+    frame = np.random.default_rng(8).random((3, 16, 24), dtype=np.float32)
+    poison = np.resize(np.array([np.nan, np.inf, -np.inf, 1e30], np.float32), frame.shape)
+    alone = arch.forward(spec, store, frame)
+    for batch, i in ((np.stack([poison, frame]), 1), (np.stack([frame, poison]), 0)):
+        for got, want in zip(arch.forward(spec, store, batch), alone):
+            assert got[i].tobytes() == want[0].tobytes()
+    for got, want in zip(alone, arch.forward(spec, store, frame[None])):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_forward_peak_memory_is_one_frame():
+    spec = arch.build_enet21()
+    store = arch.random_weights(spec, seed=5)
+    img = np.random.default_rng(9).random((4, 3, 64, 96), dtype=np.float32)
+    arch.forward(spec, store, img[:1])  # warm any lazy set-up outside the trace
+
+    def peak(batch):
+        tracemalloc.start()
+        try:
+            arch.forward(spec, store, batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = peak(img[:1]), peak(img)
+    assert four <= 1.25 * one, (one, four)
+
+
+def test_forward_rejects_empty_batch():
+    spec = arch.build_enet21()
+    with pytest.raises(ShapeError, match="zero-sized"):
+        arch.forward(spec, arch.random_weights(spec), np.zeros((0, 3, 8, 8), np.float32))
+
+
 @pytest.mark.parametrize("shared_heads", [False, True])
 def test_forward_leaves_image_and_store_unchanged(shared_heads):
     spec = arch.build_enet21(shared_heads=shared_heads)
@@ -299,6 +341,17 @@ def test_weights_repeated_name_rejected(tmp_path):
     with open(path, "wb") as f:
         f.write(arch.WEIGHTS_MAGIC + (2).to_bytes(4, "little") + entry + entry)
     with pytest.raises(FormatError, match="repeated"):
+        arch.load_weights(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_weights_non_finite_rejected_naming_first_tensor(tmp_path, bad):
+    store = {name: np.ones((3,), dtype=np.float32) for name in ("a", "b", "c")}
+    store["b"][1] = bad
+    store["c"][0] = np.nan
+    path = str(tmp_path / "nan.afw")
+    arch.save_weights(store, path)
+    with pytest.raises(FormatError, match="'b' holds NaN or inf"):
         arch.load_weights(path)
 
 

@@ -3,6 +3,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from lanekit import cli, synth
 from lanekit import dataset as D
@@ -431,6 +432,20 @@ def test_infer_misshaped_weights_exit_2(tmp_path):
     T.save_tensor(img_path, np.zeros((3, 16, 16), dtype=np.float32))
     assert run(["infer", "--weights", wpath, "--image", img_path,
                 "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_infer_non_finite_weights_exit_2(tmp_path, capsys, bad):
+    store = random_weights(build_enet21(), seed=0)
+    store["bottleneck2.3.main.bn.var"][5] = bad
+    wpath = str(tmp_path / "w.afw")
+    save_weights(store, wpath)
+    img_path = str(tmp_path / "img.aft")
+    T.save_tensor(img_path, np.zeros((3, 16, 16), dtype=np.float32))
+    out = str(tmp_path / "o")
+    assert run(["infer", "--weights", wpath, "--image", img_path, "--out", out]) == 2
+    assert "bottleneck2.3.main.bn.var" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_infer_saved_weights_match_random_init(tmp_path):

@@ -97,7 +97,7 @@ def test_load_weights_gives_store_or_lanekit_error(blob):
     assert isinstance(store, dict)
     assert struct.unpack_from("<I", blob, 4)[0] == len(store)
     assert all(isinstance(k, str) and isinstance(v, np.ndarray) and v.dtype == np.float32
-               for k, v in store.items())
+               and np.isfinite(v).all() for k, v in store.items())
 
 
 @settings(max_examples=200, deadline=None)
