@@ -9,6 +9,7 @@ library's config dataclasses and constants; CLI and library cannot drift.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -58,7 +59,9 @@ def _parse_res(text: str) -> tuple[int, int]:
     try:
         w, h = (int(v) for v in text.lower().split("x"))
     except ValueError:
-        raise FormatError(f"cannot parse resolution {text!r}, expected WxH") from None
+        w = h = 0
+    if w < 1 or h < 1:
+        raise FormatError(f"cannot parse resolution {text!r}, expected WxH, both positive")
     return h, w
 
 
@@ -82,10 +85,10 @@ def _load_map(path: str, channels: int) -> np.ndarray:
 def cmd_encode(args) -> int:
     errors: list[str] = []
     annotations = dataset.parse_tusimple(args.labels, error_sink=errors)
+    res = _parse_res(args.res)
     for msg in errors:
         print(f"encode: {args.labels}: {msg}", file=sys.stderr)
     os.makedirs(args.out, exist_ok=True)
-    res = _parse_res(args.res)
 
     outputs = []
     failed = bool(errors)
@@ -201,6 +204,8 @@ def cmd_arch(args) -> int:
 def cmd_roundtrip(args) -> int:
     if args.scenes < 1:
         raise FormatError("--scenes must be >= 1")
+    if not 0 <= args.noise < float("inf"):
+        raise FormatError(f"--noise must be finite and >= 0, got {args.noise}")
     cfg = DecodeConfig()
     matched_px = 0
     total_px = 0
@@ -331,6 +336,7 @@ def _decode_config(args) -> DecodeConfig:
                         min_lane_rows=args.min_lane_rows)
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lanecli",
                                 description="lane affinity-field toolkit")

@@ -25,6 +25,7 @@ AFT_MAGIC = b"AFT1"
 
 BATCHNORM_EPS = 1e-5
 PRELU_DEFAULT_SLOPE = 0.25
+PRELU_BLOCK = 1 << 17  # float32 values: 512 KiB, a quarter of a 2 MiB L2 cache
 
 
 def as_f32(x) -> np.ndarray:
@@ -186,15 +187,18 @@ def maxpool2x2_with_indices(x: np.ndarray) -> tuple[np.ndarray, PoolIndices]:
     top = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
     # loc is the first cell equal to the max, or the first NaN if the max is
     # NaN: start at 3 and count down once for each of cells 0-2 from that hit on
+    has_nan = np.isnan(top.max())  # a NaN cell makes its max NaN
     loc = np.full(top.shape, 3, dtype=np.uint8)
     seen = np.zeros(top.shape, dtype=bool)
     for cell in cells[:3]:
-        seen |= (cell == top) | np.isnan(cell)
+        seen |= ((cell == top) | np.isnan(cell)) if has_nan else (cell == top)
         loc -= seen
     base = 2 * w * np.arange(h2, dtype=np.int64)[:, None] + 2 * np.arange(w2, dtype=np.int64)
     flat = base + np.take(np.array([0, 1, w, w + 1], dtype=np.int64), loc)
-    # gathered from the winning cell, so a -0.0 or a NaN payload keeps its bits
-    out = np.take_along_axis(x.reshape(n, c, h * w), flat.reshape(n, c, -1), axis=-1)
+    # a max that is not a zero or a NaN has the bits of the winning cell
+    out = top.copy()
+    fix = np.flatnonzero((top == 0) | np.isnan(top) if has_nan else top == 0)
+    out.reshape(-1)[fix] = x.reshape(n * c, h * w)[fix // (h2 * w2), flat.reshape(-1)[fix]]
     return out.reshape(n, c, h2, w2), PoolIndices(dims=(n, c, h2, w2), argmax=flat)
 
 
@@ -248,17 +252,24 @@ def prelu(x, slope, out=None) -> np.ndarray:
     """Per-channel PReLU: x if x > 0 else slope * x, written into ``out`` if
     given (it may be *x*).
 
-    Computed without a branch as max(x, -0.0) + min(0, x) * slope.  numpy
-    returns the second operand on a tie, so min(0, x) keeps the sign of a
-    zero x and max(x, -0.0) is -0.0 wherever x <= 0, which adds exactly.
+    With every slope in (0, 1] this is max(x * slope, x), as numpy returns
+    the second operand on a tie and the first if it is NaN.  Other slopes
+    take max(x, -0.0) + min(0, x) * slope, which adds exactly: min(0, x)
+    keeps the sign of a zero x and max(x, -0.0) is -0.0 wherever x <= 0.
     """
     x = as_f32(x)
     _require_nchw(x)
-    s = _per_channel(slope, x.shape[1], "slope")
-    neg = np.minimum(0, x)
-    neg *= s[None, :, None, None]
-    y = np.maximum(x, -0.0, out=out)
-    return np.add(y, neg, out=y)
+    s = _per_channel(slope, x.shape[1], "slope")[None, :, None, None]
+    y = np.empty_like(x) if out is None else out
+    two_pass = np.all((s > 0) & (s <= 1))
+    step = max(1, PRELU_BLOCK // x[:, :1].size)  # a block's temporaries stay in cache
+    for b in (slice(i, i + step) for i in range(0, x.shape[1], step)):
+        if two_pass:
+            np.maximum(x[:, b] * s[:, b], x[:, b], out=y[:, b])
+        else:
+            neg = np.minimum(0, x[:, b]) * s[:, b]
+            np.add(np.maximum(x[:, b], -0.0, out=y[:, b]), neg, out=y[:, b])
+    return y
 
 
 def sigmoid(x) -> np.ndarray:
@@ -293,6 +304,8 @@ def tensor_to_bytes(arr: np.ndarray) -> bytes:
     arr = np.ascontiguousarray(arr, dtype="<f4")
     if arr.ndim < 1:
         arr = arr.reshape(1)
+    if arr.ndim > 8 or min(arr.shape) < 1:
+        raise FormatError(f"cannot write shape {arr.shape}: needs rank 1-8, positive dims")
     header = AFT_MAGIC + struct.pack("<I", arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     return header + arr.tobytes()

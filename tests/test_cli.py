@@ -65,6 +65,15 @@ def test_encode_bad_out_location_exits_2(tmp_path):
     assert run(["encode", "--labels", labels, "--out", bad_out]) == 2
 
 
+@pytest.mark.parametrize("res", ["0x0", "160x0", "0x88", "-160x88"])
+def test_encode_non_positive_resolution_exits_2_writing_nothing(tmp_path, capsys, res):
+    labels = write_labels(tmp_path, [400])
+    out = str(tmp_path / "enc")
+    assert run(["encode", "--labels", labels, "--out", out, f"--res={res}"]) == 2
+    assert "expected WxH, both positive" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_encode_deterministic_across_runs(tmp_path):
     labels = write_labels(tmp_path, [300, 800])
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -180,6 +189,24 @@ def test_decode_cli_roundtrip(tmp_path):
     assert payload["resolution"] == [88, 160]
     assert payload["version"]
     assert payload["config"]["fg_threshold"] == 0.5
+
+
+def test_decode_flags_do_not_leak_into_the_next_call(tmp_path):
+    # one parser serves every call in a process; a flag from one call must
+    # not become the default of the next
+    scene = synth_scene(tmp_path, seed=6, lanes=2)
+    maps = ["--seg", os.path.join(scene, "mask.aft"), "--haf", os.path.join(scene, "haf.aft"),
+            "--vaf", os.path.join(scene, "vaf.aft")]
+    rows = []
+    for i, extra in enumerate((["--min-lane-rows", "7"], [])):
+        out = tmp_path / f"run{i}" / "lanes.json"
+        out.parent.mkdir()
+        assert run(["decode", *maps, *extra, "--out", str(out)]) == 0
+        manifest = json.loads((out.parent / "manifest.json").read_text())
+        rows.append((json.loads(out.read_text())["config"]["min_lane_rows"],
+                     manifest["config"]["min_lane_rows"]))
+    default = cli.DecodeConfig().min_lane_rows
+    assert default != 7 and rows == [(7, 7), (default, default)]
 
 
 def test_decode_negative_min_lane_rows_exits_2(tmp_path):
@@ -313,6 +340,12 @@ def test_arch_shared_heads_cheaper(capsys):
     assert shared["total_params"] < full["total_params"]
 
 
+@pytest.mark.parametrize("res", ["0x0", "640x0", "0x352"])
+def test_arch_non_positive_input_exits_2(capsys, res):
+    assert run(["arch", "--input", res]) == 2
+    assert "expected WxH, both positive" in capsys.readouterr().err
+
+
 def test_arch_table_format_prints_rows(capsys):
     assert run(["arch"]) == 0
     out = capsys.readouterr().out
@@ -335,6 +368,14 @@ def test_roundtrip_deterministic(capsys):
     first = capsys.readouterr().out
     assert run(["roundtrip", "--scenes", "2", "--seed", "9"]) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("noise", ["-1", "-0.1", "nan", "inf"])
+def test_roundtrip_rejects_negative_or_non_finite_noise(capsys, noise):
+    assert run(["roundtrip", "--scenes", "1", "--noise", noise]) == 2
+    captured = capsys.readouterr()
+    assert "--noise must be finite and >= 0" in captured.err
+    assert "aggregate" not in captured.out
 
 
 def test_roundtrip_noise_reporting_mode(capsys):

@@ -12,8 +12,10 @@ import math
 import os
 import struct
 import tempfile
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,8 +38,11 @@ aft_blobs = st.one_of(
 
 # weight files: raw bytes, bytes behind the magic, and a plausible header over
 # entries that are mostly well formed, with names that often repeat
-valid_tensors = st.lists(st.floats(width=32), max_size=4).map(
-    lambda v: T.tensor_to_bytes(np.asarray(v, dtype=np.float32)))
+# tensor_to_bytes refuses a zero dim, so the empty tensor is written by hand
+valid_tensors = st.one_of(
+    st.lists(st.floats(width=32), min_size=1, max_size=4).map(
+        lambda v: T.tensor_to_bytes(np.asarray(v, dtype=np.float32))),
+    st.just(T.AFT_MAGIC + struct.pack("<II", 1, 0)))
 afw_entries = st.tuples(
     st.sampled_from([b"x", b"a.kernel", b"x", b"", b"\xff"]),
     st.sampled_from([0, 0, 0, 0, 1]),                    # name length error
@@ -122,7 +127,9 @@ EDGE_F32 = np.concatenate([
     np.array([0x7FC00001, 0xFFC00002, 0x7F800003, 0xFF812345],
              dtype=np.uint32).view(np.float32),
 ])
-SLOPES_F32 = np.array([0.0, -0.0, 0.25, -0.5, -3.0, 1e-45, 2.0], dtype=np.float32)
+# slopes on both sides of each edge of (0, 1], where prelu switches route
+SLOPES_F32 = np.array([0.0, -0.0, 0.25, -0.5, -3.0, 1e-45, 2.0, 0.5, 1.0, 0.99999994,
+                       1.0000001], dtype=np.float32)
 
 
 # (N, C, H, W) arrays over EDGE_F32 with N <= 3, odd H and W included; drawn
@@ -142,11 +149,13 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=300, deadline=None)
-@given(edge_arrays, st.data())
-def test_prelu_bytes_equal_reference(x, data):
-    slope = per_channel(x, SLOPES_F32, data)
-    with np.errstate(invalid="ignore"):
+# prelu works on blocks of whole channels of about PRELU_BLOCK values; on these
+# small arrays, blocks of 1, 7 and 20 values hold one channel or a few
+prelu_blocks = st.sampled_from([1, 7, 20, T.PRELU_BLOCK])
+
+
+def check_prelu(x, slope, block):
+    with np.errstate(invalid="ignore"), mock.patch.object(T, "PRELU_BLOCK", block):
         ref = prelu_bits_ref(x, slope)
         assert same_bits(T.prelu(x, slope), ref)
         y = x.copy()
@@ -155,7 +164,27 @@ def test_prelu_bytes_equal_reference(x, data):
 
 
 @settings(max_examples=300, deadline=None)
+@given(edge_arrays, prelu_blocks, st.data())
+def test_prelu_bytes_equal_reference(x, block, data):
+    check_prelu(x, per_channel(x, SLOPES_F32, data), block)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_arrays, prelu_blocks, st.data())
+def test_prelu_two_pass_route_bytes_equal_reference(x, block, data):
+    # every slope in (0, 1], so every call takes the max(x * slope, x) route
+    unit = st.one_of(st.sampled_from([1e-45, 1e-40, 0.5, 0.99999994, 1.0]),
+                     st.floats(0, 1, exclude_min=True, width=32))
+    slope = np.array(data.draw(st.lists(unit, min_size=x.shape[1], max_size=x.shape[1])),
+                     dtype=np.float32)
+    assert ((slope > 0) & (slope <= 1)).all()
+    check_prelu(x, slope, block)
+
+
+@settings(max_examples=300, deadline=None)
 @given(edge_arrays)
+# np.maximum returns +0.0 here, but the first cell, -0.0, wins the window
+@example(np.array([[[[-0.0, 0.0], [-1.0, -1.0]]]], dtype=np.float32))
 def test_maxpool_bytes_equal_reference(x):
     out, idx = T.maxpool2x2_with_indices(x)
     ref_out, ref_arg = maxpool2x2_bits_ref(x)
@@ -174,6 +203,34 @@ def test_batchnorm_in_place_bytes_equal_out_of_place(x, data):
         y = x.copy()
         assert T.batchnorm_infer(y, gamma, beta, mean, var, out=y) is y
     assert same_bits(y, ref)
+
+
+def _bits_ref_maxpool(x):
+    out, arg = maxpool2x2_bits_ref(x)
+    return out, T.PoolIndices(dims=out.shape, argmax=arg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("block", [T.PRELU_BLOCK, 100])
+@pytest.mark.parametrize("slopes", ["default", "mixed"])
+@pytest.mark.parametrize("shared_heads", [False, True])
+def test_forward_bytes_equal_forward_on_reference_kernels(shared_heads, slopes, block,
+                                                          monkeypatch):
+    spec = arch.build_enet21(shared_heads=shared_heads)
+    store = arch.random_weights(spec, seed=3)
+    if slopes == "mixed":
+        # every other slope tensor draws from (0, 1] only, the rest from both routes
+        rng = np.random.default_rng(3)
+        in_unit = SLOPES_F32[(SLOPES_F32 > 0) & (SLOPES_F32 <= 1)]
+        for i, name in enumerate(k for k in sorted(store) if k.endswith(".slope")):
+            store[name] = rng.choice(in_unit if i % 2 else SLOPES_F32, store[name].shape)
+    img = np.random.default_rng(3).standard_normal((2, 3, 32, 48)).astype(np.float32)
+    monkeypatch.setattr(T, "PRELU_BLOCK", block)
+    got = arch.forward(spec, store, img)
+    monkeypatch.setattr(T, "prelu", lambda x, slope, out=None: prelu_bits_ref(x, slope))
+    monkeypatch.setattr(T, "maxpool2x2_with_indices", _bits_ref_maxpool)
+    for a, b in zip(got, arch.forward(spec, store, img)):
+        assert same_bits(a, b)
 
 
 def _plan_convs():

@@ -273,6 +273,17 @@ def test_aft_rejects_truncation(tmp_path):
         T.load_tensor(path)
 
 
+@pytest.mark.parametrize("shape", [(0,), (2, 0, 3), (1,) * 9])
+def test_aft_write_refuses_what_read_refuses(shape):
+    arr = np.zeros(shape, dtype=np.float32)
+    with pytest.raises(FormatError, match="cannot write shape"):
+        T.tensor_to_bytes(arr)
+    # the same header, written by hand, is refused on read
+    header = T.AFT_MAGIC + struct.pack(f"<I{arr.ndim}I", arr.ndim, *shape)
+    with pytest.raises(FormatError):
+        T.tensor_from_bytes(header)
+
+
 @pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (2**21, 2**21, 2**22)])
 def test_aft_rejects_element_count_past_payload(dims):
     # both products overflow int64 (the second wraps to exactly 0)
