@@ -12,9 +12,9 @@ using the vertical field.  A cluster is charged, per active lane, the mean
 residual between the cluster centroid and the lane pixels projected along
 their predicted vertical vectors; lanes and clusters are matched greedily in
 ascending error, one-to-one (`matching.greedy_pairs`).  Unmatched clusters
-seed new lanes, so the lane count is never assumed.  Rows are inherently
-sequential (each depends on the assignment below it); frames, not rows, are
-the unit of parallelism.
+seed new lanes, so the lane count is never assumed.  A frame's clusters and
+their pairwise errors are computed as whole-frame arrays; only the matching
+runs row by row, because each row depends on the assignment below it.
 """
 from __future__ import annotations
 
@@ -26,6 +26,8 @@ import numpy as np
 
 from .errors import CodecError, ShapeError
 from .matching import greedy_pairs, max_assignment
+
+RESIDUAL_BLOCK = 1 << 15   # residual-kernel elements per block: ~3 MB of float64 temporaries
 
 
 @dataclass(frozen=True)
@@ -153,6 +155,22 @@ def encode_affinities(mask: np.ndarray) -> AffinityPair:
     return AffinityPair(haf, vaf)
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [start, start + count) of each pair, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def _clusters(rows: np.ndarray, hv: np.ndarray, min_cluster_size: int):
+    """(start, count) of each cluster of row-major foreground pixels with
+    horizontal field values hv: one starts where the row changes or hv goes
+    from <= 0 to > 0 (NaN compares false both ways: it neither ends nor starts one)."""
+    start = np.flatnonzero(np.concatenate((
+        [len(hv) > 0], (rows[1:] != rows[:-1]) | ((hv[:-1] <= 0) & (hv[1:] > 0)))))
+    count = np.diff(start, append=len(hv))
+    return start[count >= min_cluster_size], count[count >= min_cluster_size]
+
+
 def cluster_row_haf(haf_row: np.ndarray, fg_row: np.ndarray,
                     min_cluster_size: int = 1) -> list[np.ndarray]:
     """Split one row's foreground into clusters at non-positive -> positive
@@ -161,19 +179,34 @@ def cluster_row_haf(haf_row: np.ndarray, fg_row: np.ndarray,
     fg_row = np.asarray(fg_row).reshape(-1).astype(bool)
     if haf_row.shape != fg_row.shape:
         raise ShapeError(f"row lengths differ: haf {haf_row.shape}, fg {fg_row.shape}")
-    # .nonzero()[0]: np.flatnonzero's wrapper costs as much as a sparse row's scan
     cols = fg_row.nonzero()[0]
-    if not len(cols):
-        return []
-    h = haf_row[cols]
-    # NaN compares false both ways, so it neither ends nor starts a cluster
-    ends = [0, *(((h[:-1] <= 0) & (h[1:] > 0)).nonzero()[0] + 1).tolist(), len(cols)]
-    return [cols[a:b] for a, b in zip(ends, ends[1:]) if b - a >= min_cluster_size]
+    start, count = _clusters(np.zeros_like(cols), haf_row[cols], min_cluster_size)
+    return [cols[a:a + n] for a, n in zip(start.tolist(), count.tolist())]
+
+
+def _mean_residuals(cx, dy, start, count, xs, vx, vy) -> np.ndarray:
+    """Mean residual of each pair of a centroid cx, dy rows from its pixels
+    (one dy, or one per pair), and the pixels start .. start + count - 1 of
+    (xs, vx, vy): each pixel aims along its vertical vector, scaled to its
+    distance from the centroid, and misses by the residual.  Each run is
+    summed behind a zero, as np.add.reduceat adds a run's first element
+    outside numpy's pairwise sum: so a pair sums as its pixels would alone."""
+    n = count + 1
+    seg = np.cumsum(n) - n
+    pix = _ranges(start - 1, n)
+    tx = np.repeat(cx, n) - xs[pix]
+    ty = np.repeat(dy, n) if np.ndim(dy) else dy
+    dist = np.sqrt(tx * tx + ty * ty)
+    rx = tx - vx[pix] * dist
+    ry = ty - vy[pix] * dist
+    res = np.sqrt(rx * rx + ry * ry)
+    res[seg] = 0.0
+    return np.add.reduceat(res, seg) / count
 
 
 @dataclass
 class LaneTrack:
-    """Decoder working state for one lane instance."""
+    """A lane's most recent row of pixels, as `association_error` scores it."""
 
     lane_id: int
     pixel_xs: np.ndarray      # xs of the most recent assigned row
@@ -184,27 +217,16 @@ class LaneTrack:
 def association_error(tracks: list[LaneTrack], centroid_xs: list[float], row_above: int,
                       vaf: np.ndarray) -> np.ndarray:
     """(tracks, clusters) mean residuals of projecting a track's pixels onto a
-    cluster centroid.
-
-    Each pixel aims along its predicted vertical vector, scaled to its
-    distance from the centroid; the residual is what remains.  One
-    (clusters, all track pixels) array scores the row; each track's mean
-    reduces its own contiguous columns, so it sums as it would alone.
-    """
-    counts = [len(t.pixel_xs) for t in tracks]
+    cluster centroid, each summed as it would be alone."""
+    counts = np.array([len(t.pixel_xs) for t in tracks])
     xs = np.concatenate([t.pixel_xs for t in tracks])
     rows = np.repeat([t.row for t in tracks], counts)
-    tx = np.asarray(centroid_xs, dtype=np.float64)[:, None] - xs.astype(np.float64)
-    ty = (row_above - rows).astype(np.float64)
-    dist = np.sqrt(tx * tx + ty * ty)
-    vx = vaf[0, rows, xs].astype(np.float64)
-    vy = vaf[1, rows, xs].astype(np.float64)
-    rx = tx - vx * dist
-    ry = ty - vy * dist
-    res = np.sqrt(rx * rx + ry * ry)
-    ends = np.cumsum(counts).tolist()
-    return np.array([np.add.reduce(res[:, a:b], axis=1) / (b - a)
-                     for a, b in zip([0] + ends, ends)])
+    pair = np.repeat(np.arange(len(tracks)), len(centroid_xs))   # (track, cluster) pairs
+    dy = np.array([float(row_above - t.row) for t in tracks])[pair]
+    err = _mean_residuals(np.tile(np.asarray(centroid_xs, dtype=np.float64), len(tracks)), dy,
+                          (np.cumsum(counts) - counts)[pair], counts[pair], xs.astype(np.float64),
+                          *vaf[:, rows, xs].astype(np.float64))
+    return err.reshape(len(tracks), len(centroid_xs))
 
 
 def associate_clusters_vaf(tracks: list[LaneTrack], centroid_xs: list[float],
@@ -229,7 +251,9 @@ def decode(seg_prob: np.ndarray, af: AffinityPair,
     initial lanes; later rows are matched through the vertical field, and
     clusters nobody claims start new lanes, so merge/split scenes and any
     lane count are handled.  Lanes covering fewer than cfg.min_lane_rows
-    rows are discarded at the end.
+    rows are discarded at the end.  A track is its lane's latest cluster: if
+    it lies `g` rows below a row, its errors come from a table of every
+    (cluster, cluster `g` rows below) pair, filled a block of rows at a time.
     """
     seg_prob = np.asarray(seg_prob, dtype=np.float32)
     if seg_prob.shape != af.resolution:
@@ -237,42 +261,61 @@ def decode(seg_prob: np.ndarray, af: AffinityPair,
             f"segmentation {tuple(seg_prob.shape)} does not match fields {af.resolution}"
         )
     h, w = seg_prob.shape
-    fg = seg_prob >= cfg.fg_threshold
-    cluster_map = np.zeros((h, w), dtype=np.int32)
-    active: list[LaneTrack] = []
-    finished: list[LaneTrack] = []
-    next_id = 1
-    for row in range(h - 1, -1, -1):
-        clusters = cluster_row_haf(af.haf[row], fg[row], cfg.min_cluster_size)
-        centroids = [float(np.add.reduce(cl, dtype=np.float64) / len(cl)) for cl in clusters]
-        assignment = associate_clusters_vaf(
-            active, centroids, af.vaf, row, cfg.assoc_threshold) if clusters else {}
-        survivors: list[LaneTrack] = []
-        for ti, track in enumerate(active):
-            if ti in assignment:
-                ci = assignment[ti]
-                track.pixel_xs, track.row = clusters[ci], row
-                track.points.append((centroids[ci], row))
-                cluster_map[row, clusters[ci]] = track.lane_id
-            if track.row - row > cfg.max_gap_rows:
-                finished.append(track)
-            else:
-                survivors.append(track)
-        matched = set(assignment.values())
-        for ci, cl in enumerate(clusters):
-            if ci not in matched:
-                survivors.append(LaneTrack(next_id, cl, row, points=[(centroids[ci], row)]))
-                cluster_map[row, cl] = next_id
-                next_id += 1
-        active = survivors
-    finished.extend(active)
+    rows, cols = (seg_prob >= cfg.fg_threshold).nonzero()
+    start, count = _clusters(rows, af.haf[rows, cols], cfg.min_cluster_size)
+    crow = rows[start]
+    csum = np.concatenate(([0], np.cumsum(cols)))   # exact, as float64 sums of columns are
+    cent = (csum[start + count] - csum[start]) / count
+    first = np.searchsorted(crow, np.arange(h + 1))      # row r: clusters first[r]..
+    pixels = (cols.astype(np.float64), *af.vaf[:, rows, cols].astype(np.float64))
+    crow_r, first_r = crow.tolist(), first.tolist()
+    layouts: dict[int, tuple] = {}     # gap -> (offsets, targets per source, elements per row)
+    blocks: dict[int, tuple] = {}      # gap -> (the current block's errors, its first source)
 
-    kept = sorted((t for t in finished if len(t.points) >= cfg.min_lane_rows),
-                  key=lambda t: t.lane_id)
-    relabel = np.zeros(next_id, dtype=np.int32)
-    relabel[[t.lane_id for t in kept]] = np.arange(1, len(kept) + 1)
-    lanes = tuple(DecodedLane(i, tuple(t.points)) for i, t in enumerate(kept, 1))
-    return DecodedLanes(lanes, relabel[cluster_map])
+    def errors(c: int, r: int) -> np.ndarray:
+        """Errors of cluster c against each cluster of row r above it."""
+        g = crow_r[c] - r
+        if g not in layouts:
+            nt = np.where(crow >= g, np.diff(first)[crow - g], 0)
+            off, elems = (np.concatenate(([0], np.cumsum(v))) for v in (nt, nt * (count + 1)))
+            layouts[g] = off.tolist(), nt, elems[first]
+        off, nt, elems = layouts[g]
+        res, lo = blocks.get(g, (None, len(crow)))
+        if c < lo:   # next block: whole rows from c's down, RESIDUAL_BLOCK elements or one row
+            row = crow_r[c]
+            lo = first_r[min(row, int(np.searchsorted(elems, elems[row + 1] - RESIDUAL_BLOCK)))]
+            top = first_r[row + 1]
+            src = np.repeat(np.arange(lo, top), nt[lo:top])
+            res = _mean_residuals(cent[_ranges(first[crow[lo:top] - g], nt[lo:top])], float(-g),
+                                  start[src], count[src], *pixels)
+            blocks[g] = res, lo
+        return res[off[c] - off[lo]:off[c + 1] - off[lo]]
+
+    lanes: list[list[int]] = []        # each lane's clusters bottom up, in order of start
+    active: list[int] = []             # the lane of each active track, in track order
+    for r in range(h - 1, -1, -1):
+        a, b = first_r[r], first_r[r + 1]
+        if b > a:
+            err = np.array([errors(lanes[k][-1], r) for k in active]).reshape(len(active), b - a)
+            pairs = greedy_pairs(err, err <= cfg.assoc_threshold)
+            for ti, ci in pairs.items():
+                lanes[active[ti]].append(a + ci)
+            claimed = set(pairs.values())
+            new = [[a + ci] for ci in range(b - a) if ci not in claimed]
+            active += range(len(lanes), len(lanes) + len(new))
+            lanes += new
+        active = [k for k in active if crow_r[lanes[k][-1]] - r <= cfg.max_gap_rows]
+
+    kept = [cl for cl in lanes if len(cl) >= cfg.min_lane_rows]
+    lane = np.zeros(len(crow), dtype=np.int32)
+    for i, cl in enumerate(kept, 1):
+        lane[cl] = i
+    cluster_map = np.zeros((h, w), dtype=np.int32)
+    pix = _ranges(start, count)
+    cluster_map[rows[pix], cols[pix]] = np.repeat(lane, count)
+    cent_r = cent.tolist()
+    return DecodedLanes(tuple(DecodedLane(i, tuple((cent_r[c], crow_r[c]) for c in cl))
+                              for i, cl in enumerate(kept, 1)), cluster_map)
 
 
 def best_label_agreement(gt_mask: np.ndarray, cluster_map: np.ndarray) -> float:

@@ -32,6 +32,8 @@ EXIT_INVARIANT = 4
 _DECODE_DEFAULTS = DecodeConfig()
 _EVAL_DEFAULTS = EvalConfig()
 _SCENE_DEFAULTS = synth.SceneSpec()
+# NaN and infinities are not JSON: a non-finite value raises, so the command exits 2
+_dumps = functools.partial(json.dumps, sort_keys=True, allow_nan=False)
 
 
 def _write_manifest(directory: str, command: str, config: dict,
@@ -50,7 +52,7 @@ def _write_manifest(directory: str, command: str, config: dict,
         "inputs": sorted(inputs),
         "outputs": sorted(rel(p) for p in outputs),
     }
-    blob = json.dumps(manifest, indent=2, sort_keys=True).encode() + b"\n"
+    blob = _dumps(manifest, indent=2).encode() + b"\n"
     T.atomic_write_bytes(os.path.join(directory, "manifest.json"), blob)
 
 
@@ -65,8 +67,15 @@ def _parse_res(text: str) -> tuple[int, int]:
     return h, w
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float, so nan and inf exit 2."""
+    if np.isfinite(value := float(text)):
+        return value
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(_dumps(obj, indent=2))
 
 
 def _load_map(path: str, channels: int) -> np.ndarray:
@@ -125,7 +134,7 @@ def cmd_decode(args) -> int:
     payload = json.loads(result.to_json())
     payload["version"] = __version__
     payload["config"] = cfg.__dict__
-    T.atomic_write_bytes(args.out, (json.dumps(payload, sort_keys=True) + "\n").encode())
+    T.atomic_write_bytes(args.out, (_dumps(payload) + "\n").encode())
     out_dir = os.path.dirname(os.path.abspath(args.out))
     _write_manifest(out_dir, "decode", cfg.__dict__,
                     [args.seg, args.haf, args.vaf], [args.out])
@@ -157,8 +166,7 @@ def cmd_eval(args) -> int:
     else:
         _emit(payload)
     if args.out:
-        T.atomic_write_bytes(args.out,
-                             (json.dumps(payload, sort_keys=True) + "\n").encode())
+        T.atomic_write_bytes(args.out, (_dumps(payload) + "\n").encode())
         _write_manifest(os.path.dirname(os.path.abspath(args.out)), "eval",
                         cfg.__dict__, [args.pred, args.gt], [args.out])
     return EXIT_OK
@@ -386,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     sy.add_argument("--out", required=True)
     sy.add_argument("--seed", type=int, default=0)
     sy.add_argument("--lanes", type=int, default=_SCENE_DEFAULTS.lane_count)
-    sy.add_argument("--curvature", type=float, default=_SCENE_DEFAULTS.curvature[1])
+    sy.add_argument("--curvature", type=_finite_float, default=_SCENE_DEFAULTS.curvature[1])
     sy.add_argument("--spacing", type=float, default=_SCENE_DEFAULTS.spacing)
     sy.add_argument("--width", type=int, default=_SCENE_DEFAULTS.width)
     sy.add_argument("--merge-split", action="store_true")
@@ -406,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     lo = sub.add_parser("loss", help="loss breakdown between map directories")
     lo.add_argument("--pred", required=True)
     lo.add_argument("--gt", required=True)
-    lo.add_argument("--weight", type=float, default=None)
+    lo.add_argument("--weight", type=_finite_float, default=None)
     lo.set_defaults(func=cmd_loss)
     return p
 

@@ -10,7 +10,7 @@ def greedy_pairs(cost: np.ndarray, allowed: np.ndarray) -> dict[int, int]:
     ties to the lower row then the lower column, each kept unless its row or
     column is already taken.  The dict holds the pairs in the order taken."""
     cost = np.asarray(cost, dtype=np.float64)
-    flat = np.flatnonzero(allowed)
+    flat = np.asarray(allowed).ravel().nonzero()[0]
     pairs: dict[int, int] = {}
     taken_cols: set[int] = set()
     # flat indices ascend row-major, so a stable sort breaks ties by (row, col)
@@ -19,6 +19,8 @@ def greedy_pairs(cost: np.ndarray, allowed: np.ndarray) -> dict[int, int]:
         if r not in pairs and c not in taken_cols:
             pairs[r] = c
             taken_cols.add(c)
+            if len(pairs) == min(cost.shape):   # every row or every column is taken
+                break
     return pairs
 
 

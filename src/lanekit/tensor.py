@@ -292,8 +292,9 @@ def channel_zero_pad(x, target_channels: int) -> np.ndarray:
         raise ShapeError(f"cannot pad {c} channels down to {target_channels}")
     if target_channels == c:
         return x
-    pad = np.zeros((n, target_channels - c, h, w), dtype=np.float32)
-    return np.concatenate([x, pad], axis=1)
+    out = np.zeros((n, target_channels, h, w), dtype=np.float32)
+    out[:, :c] = x
+    return out
 
 
 # --------------------------------------------------------------------------

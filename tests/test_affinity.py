@@ -331,29 +331,33 @@ def test_decode_bytes_equal_reference_on_scenes(sigma):
 
 def test_decode_cost_is_bounded_on_adversarial_map(monkeypatch):
     # every pixel foreground and every other haf positive: each row splits
-    # into W/2 two-pixel clusters, and each carries on the track below it
+    # into W/2 two-pixel clusters, and each carries on the track below it, so
+    # each (cluster, pixel one row below) pair is scored once and no table of
+    # a longer gap is built
     h, w = 88, 160
     haf = np.tile(np.where(np.arange(w) % 2 == 0, 1.0, -1.0), (h, 1))
     vaf = np.zeros((2, h, w))
     vaf[1] = -1.0
-    scored, clusters = [], []
-    error, cluster_row = af.association_error, af.cluster_row_haf
+    scored, gaps, per_row = [], set(), []
+    kernel, rule = af._mean_residuals, af._clusters
 
-    def counted_error(*args):
-        scored.append(1)
-        return error(*args)
+    def counted_kernel(cx, dy, start, count, *pixels):
+        scored.append(int(count.sum()))
+        gaps.update(np.unique(-np.asarray(dy)).tolist())
+        return kernel(cx, dy, start, count, *pixels)
 
-    def counted_clusters(*args):
-        out = cluster_row(*args)
-        clusters.append(len(out))
-        return out
+    def counted_clusters(rows, hv, min_cluster_size):
+        start, count = rule(rows, hv, min_cluster_size)
+        per_row.append(int(np.bincount(rows[start]).max()))
+        return start, count
 
-    monkeypatch.setattr(af, "association_error", counted_error)
-    monkeypatch.setattr(af, "cluster_row_haf", counted_clusters)
+    monkeypatch.setattr(af, "_mean_residuals", counted_kernel)
+    monkeypatch.setattr(af, "_clusters", counted_clusters)
     decoded = af.decode(np.ones((h, w), np.float32), af.AffinityPair(haf, vaf))
     assert len(decoded.lanes) == w // 2
-    assert len(scored) <= h
-    assert len(clusters) == h and max(clusters) <= -(-w // 2)
+    assert sum(scored) <= (h - 1) * -(-w // 2) * w
+    assert gaps == {1}
+    assert per_row and max(per_row) <= -(-w // 2)
 
 
 def test_best_label_agreement_matches_exhaustive_oracle():

@@ -553,3 +553,61 @@ def test_loss_cli_inverts_probabilities_without_logits(tmp_path, capsys):
     assert np.isfinite(want.total)
     assert (payload["wbce"], payload["iou"], payload["af"], payload["total"]) == (
         want.wbce, want.iou, want.af, want.total)
+
+
+def prediction_dir(tmp_path, scene, haf=None):
+    """A prediction directory: logits of the scene's mask and its fields,
+    or the given horizontal field."""
+    pred = str(tmp_path / "pred")
+    os.makedirs(pred)
+    mask = T.load_tensor(os.path.join(scene, "mask.aft"))
+    T.save_tensor(os.path.join(pred, "seg_logits.aft"),
+                  np.where(mask > 0, 60.0, -60.0).astype(np.float32))
+    T.save_tensor(os.path.join(pred, "haf.aft"),
+                  T.load_tensor(os.path.join(scene, "haf.aft")) if haf is None else haf)
+    T.save_tensor(os.path.join(pred, "vaf.aft"), T.load_tensor(os.path.join(scene, "vaf.aft")))
+    return pred
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_loss_weight_must_be_finite(tmp_path, capsys, weight):
+    scene = synth_scene(tmp_path, seed=10, lanes=3)
+    pred = prediction_dir(tmp_path, scene)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["loss", "--pred", pred, "--gt", scene, f"--weight={weight}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--weight: expected a finite number" in captured.err
+
+
+@pytest.mark.parametrize("curvature", ["nan", "inf"])
+def test_synth_curvature_must_be_finite(tmp_path, capsys, curvature):
+    out = tmp_path / "scene"
+    with pytest.raises(SystemExit) as exc:
+        run(["synth", "--out", str(out), "--curvature", curvature])
+    assert exc.value.code == 2
+    assert "--curvature: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_loss_with_a_nan_result_exits_2_printing_no_json(tmp_path, capsys):
+    # a NaN field gives a NaN loss, which JSON cannot hold
+    scene = synth_scene(tmp_path, seed=10, lanes=3)
+    pred = prediction_dir(tmp_path, scene, haf=np.full((88, 160), np.nan, np.float32))
+    capsys.readouterr()
+    assert run(["loss", "--pred", pred, "--gt", scene]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not JSON compliant" in captured.err
+
+
+def test_decode_with_an_infinite_config_exits_2_writing_nothing(tmp_path, capsys):
+    scene = synth_scene(tmp_path, seed=6, lanes=4)
+    out = tmp_path / "lanes.json"
+    assert run(["decode", "--seg", os.path.join(scene, "mask.aft"),
+                "--haf", os.path.join(scene, "haf.aft"), "--vaf", os.path.join(scene, "vaf.aft"),
+                "--out", str(out), "--assoc-thresh", "inf"]) == 2
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert not out.exists()

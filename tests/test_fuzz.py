@@ -290,12 +290,19 @@ HAF_VALUES = np.array([-1.0, 0.0, -0.0, 0.5, 1.0, np.nan], dtype=np.float32)
 VAF_VALUES = np.array([-1.0, -0.6, -0.0, 0.0, 0.6, 1.0, np.nan], dtype=np.float32)
 
 
+# decode fills its residual tables in blocks of whole rows, about
+# RESIDUAL_BLOCK kernel elements (one row at least); on these maps 1, 7 and 64
+# make blocks of one or a few rows, and gaps of up to 30 rows build tables of
+# long gaps
+residual_blocks = st.sampled_from([1, 7, 64, af.RESIDUAL_BLOCK])
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 24), st.integers(1, 40), st.integers(0, 2**32 - 1),
-       st.floats(0.0, 1.0), st.integers(1, 3), st.integers(1, 4), st.integers(0, 3),
-       st.sampled_from([0.5, 2.0, 12.0, 1e9]))
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0), st.integers(1, 3), st.integers(1, 4), st.integers(0, 30),
+       st.sampled_from([0.5, 2.0, 12.0, 1e9]), residual_blocks)
 def test_decode_bytes_equal_reference(h, w, seed, fg_share, min_cluster_size, min_lane_rows,
-                                      max_gap_rows, assoc_threshold):
+                                      max_gap_rows, assoc_threshold, block):
     # the maps come from a drawn seed: drawn value by value, hypothesis
     # keeps them to a few hundred pixels and takes ~10x as long
     rng = np.random.default_rng(seed)
@@ -304,7 +311,9 @@ def test_decode_bytes_equal_reference(h, w, seed, fg_share, min_cluster_size, mi
                            VAF_VALUES[rng.integers(0, len(VAF_VALUES), (2, h, w))])
     cfg = af.DecodeConfig(assoc_threshold=assoc_threshold, min_cluster_size=min_cluster_size,
                           min_lane_rows=min_lane_rows, max_gap_rows=max_gap_rows)
-    got, ref = af.decode(seg, pair, cfg), decode_ref(seg, pair, cfg)
+    with mock.patch.object(af, "RESIDUAL_BLOCK", block):
+        got = af.decode(seg, pair, cfg)
+    ref = decode_ref(seg, pair, cfg)
     assert got.to_json() == ref.to_json()
     assert same_bits(got.cluster_map, ref.cluster_map)
 

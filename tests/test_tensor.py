@@ -236,6 +236,21 @@ def test_channel_zero_pad():
         T.channel_zero_pad(x, 8)
 
 
+def test_channel_zero_pad_bytes():
+    # the input's bits (signed zeros, infinities, NaN payloads, denormals)
+    # come through unchanged, the new channels are +0.0, and the output is
+    # a new array
+    bits = np.array([0x80000000, 0x00000000, 0x7F800000, 0xFF800000, 0x7FC00001,
+                     0xFFC12345, 0x7F800001, 0x00000001, 0x3F800000, 0xBF000000],
+                    dtype=np.uint32)
+    x = bits[rng(19).integers(0, len(bits), (2, 3, 4, 5))].view(np.float32)
+    out = T.channel_zero_pad(x, 7)
+    assert out.shape == (2, 7, 4, 5) and out.dtype == np.float32
+    assert out[:, :3].tobytes() == x.tobytes()
+    assert not out[:, 3:].view(np.uint32).any()
+    assert not np.shares_memory(out, x)
+
+
 # ------------------------------------------------------------------- AFT1
 
 def test_aft_round_trip_exact():
