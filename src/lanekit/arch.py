@@ -7,20 +7,19 @@ the encoder's pooling indices, and three parallel output heads (binary
 segmentation, horizontal field, vertical field).  No convolution carries a
 bias term.
 
-Everything downstream of :func:`build_enet21` (shape tracing, parameter and
-FLOP accounting, the forward pass, weight initialization and the weight-file
-layout) folds over one walk of the per-layer plan, :func:`walk`, so the
-ledgers cannot drift from the executed graph.  The walk alone owns the
-branch rule: the trunk rows chain from the image, and each head starts from
-the trunk output, or, with shared heads, from the output of rows 19-20,
-which then run once.  The parameter ledger counts the weight slots
-themselves, less the batchnorm running statistics.
+Everything downstream of :func:`build_enet21` folds over one walk of the
+per-layer plan, :func:`walk`, which alone owns the branch rule: the trunk
+rows chain from the image, and each head starts from the trunk output, or,
+with shared heads, from the output of rows 19-20, which then run once.  Each
+block is read once, by :func:`_read_block`, for its weight slots, FLOPs and
+output size.  The weight store, the shape trace and both ledgers fold over
+that reading, and the forward pass runs the same plans.
 """
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,7 +98,6 @@ class ArchReport:
     per_layer: list[LayerReport] = field(default_factory=list)
     total_params: int = 0
     total_flops: int = 0
-    input_dims: tuple[int, int, int] | None = None
 
 
 def build_enet21(projection_ratio: int = 4, shared_heads: bool = False) -> ArchSpec:
@@ -203,110 +201,61 @@ def walk(spec: ArchSpec, x, step) -> dict:
             for head in spec.heads}
 
 
-def _bn_slots(name: str, channels: int) -> dict[str, tuple[int, ...]]:
-    return {f"{name}.bn.{part}": (channels,) for part in ("gamma", "beta", "mean", "var")}
-
-
-def _plan_slots(plan: BlockPlan) -> dict[str, tuple[int, ...]]:
-    """The named parameter tensors of one block, in weight-store order."""
+def _read_block(plan: BlockPlan, in_hw) -> tuple[dict[str, tuple[int, ...]], int, tuple[int, int]]:
+    """One block at input size *in_hw*: its weight slots in weight-store order,
+    its FLOPs (2 per MAC, 2 per element of batchnorm and of PReLU, 1 per element
+    of the residual add, 3 comparisons per pooled cell) and its output size."""
     slots: dict[str, tuple[int, ...]] = {}
-    convs = plan.ext if plan.main_conv is None else plan.ext + (plan.main_conv,)
-    for s in convs:
-        slots[f"{s.name}.kernel"] = (s.out_ch, s.in_ch, *s.kernel)
-        if s.bn:
-            slots.update(_bn_slots(s.name, s.out_ch))
-        if s.act:
-            slots[f"{s.name}.slope"] = (s.out_ch,)
-    nm, out = plan.layer.name, plan.layer.out_channels
-    if plan.post_bn:
-        slots.update(_bn_slots(nm, out))
-    if plan.post_act:
-        slots[f"{nm}.out.slope"] = (out,)
-    return slots
+    flops = 0
 
+    def norm(name, ch, hw, bn, act):
+        nonlocal flops
+        if bn:
+            slots.update({f"{name}.bn.{part}": (ch,) for part in ("gamma", "beta", "mean", "var")})
+        if act:
+            slots[f"{name}.slope"] = (ch,)
+        flops += 2 * (bn + act) * ch * hw[0] * hw[1]
 
-def _plan_params(plan: BlockPlan) -> int:
-    """Learned parameters: every slot except the batchnorm running statistics."""
-    return sum(math.prod(dims) for name, dims in _plan_slots(plan).items()
-               if not name.endswith((".bn.mean", ".bn.var")))
+    def conv(s: ConvSlot, hw):
+        nonlocal flops
+        shape = T.conv_output_hw if s.op == "conv" else T.transposed_output_hw
+        out_hw = shape(hw, s.kernel, s.stride, s.dilation, s.padding)
+        slots[f"{s.name}.kernel"] = kernel = (s.out_ch, s.in_ch, *s.kernel)
+        # a conv applies its kernel once per output site, a transposed one per input site
+        sites = out_hw if s.op == "conv" else hw
+        flops += 2 * math.prod(kernel) * sites[0] * sites[1]
+        norm(s.name, s.out_ch, out_hw, s.bn, s.act)
+        return out_hw
 
-
-def count_params(spec: ArchSpec) -> ArchReport:
-    """Parameter ledger: conv kernels plus batchnorm scale/shift and PReLU slopes."""
-    report = ArchReport()
-
-    def step(plan, head, _):
-        p = _plan_params(plan)
-        report.per_layer.append(LayerReport(plan.layer.id, plan.layer.name, head, None, p, 0))
-        report.total_params += p
-
-    walk(spec, None, step)
-    return report
-
-
-def _slot_flops(slot: ConvSlot, in_hw, out_hw) -> int:
-    kh, kw = slot.kernel
-    macs_per_site = slot.in_ch * slot.out_ch * kh * kw
-    if slot.op == "conv":
-        macs = macs_per_site * out_hw[0] * out_hw[1]
-    else:  # transposed: one kernel application per input site
-        macs = macs_per_site * in_hw[0] * in_hw[1]
-    fl = 2 * macs
-    elems = slot.out_ch * out_hw[0] * out_hw[1]
-    if slot.bn:
-        fl += 2 * elems
-    if slot.act:
-        fl += 2 * elems
-    return fl
-
-
-def _slot_out_hw(slot: ConvSlot, hw) -> tuple[int, int]:
-    if slot.op == "conv":
-        return T.conv_output_hw(hw, slot.kernel, slot.stride, slot.dilation, slot.padding)
-    return T.transposed_output_hw(hw, slot.kernel, slot.stride, slot.dilation, slot.padding)
-
-
-def _plan_flops(plan: BlockPlan, in_hw) -> tuple[int, tuple[int, int]]:
-    """FLOPs of one block and its output size, chained through its ext slots."""
-    fl = 0
     hw = in_hw
-    for slot in plan.ext:
-        out_hw = _slot_out_hw(slot, hw)
-        fl += _slot_flops(slot, hw, out_hw)
-        hw = out_hw
-    out_ch = plan.layer.out_channels
-    out_elems = out_ch * hw[0] * hw[1]
-    if plan.pool in ("down", "initial"):
-        # 3 comparisons per pooled output cell
-        pooled_ch = plan.in_ch
-        fl += 3 * pooled_ch * hw[0] * hw[1]
+    for s in plan.ext:
+        hw = conv(s, hw)
     if plan.main_conv is not None:
-        skip_out = _slot_out_hw(plan.main_conv, in_hw)
-        fl += _slot_flops(plan.main_conv, in_hw, skip_out)
+        conv(plan.main_conv, in_hw)
+    if plan.pool in ("down", "initial"):
+        flops += 3 * plan.in_ch * hw[0] * hw[1]
+    nm, out = plan.layer.name, plan.layer.out_channels
     if plan.layer.kind == "bottleneck":
-        fl += out_elems  # residual add
-    if plan.post_bn:
-        fl += 2 * out_elems
-    if plan.post_act:
-        fl += 2 * out_elems
-    return fl, hw
+        flops += out * hw[0] * hw[1]  # residual add
+    norm(nm, out, hw, plan.post_bn, False)
+    norm(f"{nm}.out", out, hw, False, plan.post_act)
+    return slots, flops, hw
 
 
 def count_flops(spec: ArchSpec, input_dims: tuple[int, int, int]) -> ArchReport:
     """Per-row output dims, params and FLOPs for a (3, H, W) input, H and W /8.
-
-    Convs count 2 FLOPs per MAC.
-    """
+    A row's params are its weight slots less the batchnorm running statistics."""
     c, h, w = input_dims
     if c != 3:
         raise ShapeError(f"expected 3 input channels, got {c}")
     if h % 8 or w % 8:
         raise ShapeError(f"input {h}x{w} not divisible by 8")
-    report = ArchReport(input_dims=input_dims)
+    report = ArchReport()
 
     def step(plan, head, hw):
-        fl, out_hw = _plan_flops(plan, hw)
-        p = _plan_params(plan)
+        slots, fl, out_hw = _read_block(plan, hw)
+        p = sum(math.prod(dims) for name, dims in slots.items()
+                if not name.endswith((".bn.mean", ".bn.var")))
         report.per_layer.append(LayerReport(plan.layer.id, plan.layer.name, head,
                                             (plan.layer.out_channels, *out_hw), p, fl))
         report.total_params += p
@@ -315,6 +264,17 @@ def count_flops(spec: ArchSpec, input_dims: tuple[int, int, int]) -> ArchReport:
 
     walk(spec, (h, w), step)
     return report
+
+
+def count_params(spec: ArchSpec) -> ArchReport:
+    """Parameter ledger: conv kernels plus batchnorm scale/shift and PReLU slopes.
+
+    Params do not depend on the input size, so these are the rows of
+    :func:`count_flops` at any /8 size, without their dims and FLOPs.
+    """
+    rows = count_flops(spec, (3, 8, 8)).per_layer
+    return ArchReport([replace(r, output_dims=None, flops=0) for r in rows],
+                      sum(r.params for r in rows))
 
 
 def shape_trace(spec: ArchSpec, input_dims: tuple[int, int, int]) -> list[LayerReport]:
@@ -330,9 +290,15 @@ def shape_trace(spec: ArchSpec, input_dims: tuple[int, int, int]) -> list[LayerR
 # --------------------------------------------------------------------------
 
 def weight_slots(spec: ArchSpec) -> dict[str, tuple[int, ...]]:
-    """Every named parameter tensor and its expected dims."""
+    """Every named parameter tensor and its expected dims, in weight-store order."""
     slots: dict[str, tuple[int, ...]] = {}
-    walk(spec, None, lambda plan, head, _: slots.update(_plan_slots(plan)))
+
+    def step(plan, head, hw):
+        block_slots, _, out_hw = _read_block(plan, hw)
+        slots.update(block_slots)
+        return out_hw
+
+    walk(spec, (8, 8), step)  # slots do not depend on the input size
     return slots
 
 

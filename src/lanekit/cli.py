@@ -56,14 +56,16 @@ def _write_manifest(directory: str, command: str, config: dict,
     T.atomic_write_bytes(os.path.join(directory, "manifest.json"), blob)
 
 
-def _parse_res(text: str) -> tuple[int, int]:
-    """'WxH' -> (H, W)."""
+def _parse_res(text: str, limit: tuple[int, int] | None = None) -> tuple[int, int]:
+    """'WxH' -> (H, W), both positive and, given a (W, H) limit, at most it."""
     try:
         w, h = (int(v) for v in text.lower().split("x"))
     except ValueError:
         w = h = 0
-    if w < 1 or h < 1:
-        raise FormatError(f"cannot parse resolution {text!r}, expected WxH, both positive")
+    lw, lh = limit or (w, h)  # without a limit, only positivity is checked
+    if not (0 < w <= lw and 0 < h <= lh):
+        bound = f" and at most {lw}x{lh}" if limit else ""
+        raise FormatError(f"bad resolution {text!r}, expected WxH, both positive{bound}")
     return h, w
 
 
@@ -94,7 +96,7 @@ def _load_map(path: str, channels: int) -> np.ndarray:
 def cmd_encode(args) -> int:
     errors: list[str] = []
     annotations = dataset.parse_tusimple(args.labels, error_sink=errors)
-    res = _parse_res(args.res)
+    res = _parse_res(args.res, (dataset.ORIG_W, dataset.ORIG_H))
     for msg in errors:
         print(f"encode: {args.labels}: {msg}", file=sys.stderr)
     os.makedirs(args.out, exist_ok=True)
@@ -142,20 +144,34 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
+def _read_labels(path: str) -> dict[str, dataset.LaneAnnotation] | None:
+    """Frames of one eval label file by raw_file; None, with each fault
+    reported, when a line is malformed or a raw_file repeats."""
+    errors: list[str] = []
+    by_file: dict[str, dataset.LaneAnnotation] = {}
+    for ann in dataset.parse_tusimple(path, error_sink=errors):
+        if ann.raw_file in by_file:
+            errors.append(f"raw_file {ann.raw_file!r} appears more than once")
+        by_file[ann.raw_file] = ann
+    for msg in errors:
+        print(f"eval: {path}: {msg}", file=sys.stderr)
+    return None if errors else by_file
+
+
 def cmd_eval(args) -> int:
-    gt = dataset.parse_tusimple(args.gt)
-    pred = dataset.parse_tusimple(args.pred)
-    pred_by_file = {a.raw_file: a for a in pred}
-    missing = [a.raw_file for a in gt if a.raw_file not in pred_by_file]
+    gt, pred = _read_labels(args.gt), _read_labels(args.pred)
+    if gt is None or pred is None:
+        return EXIT_INPUT
+    missing = [name for name in gt if name not in pred]
     if missing:
         for name in missing:
             print(f"eval: no prediction for frame {name}", file=sys.stderr)
         return EXIT_EVAL
-    extra = set(pred_by_file) - {a.raw_file for a in gt}
+    extra = set(pred) - set(gt)
     for name in sorted(extra):
         print(f"eval: ignoring prediction without ground truth: {name}", file=sys.stderr)
     cfg = EvalConfig(px_threshold=args.px_thresh, lane_match_threshold=args.lane_thresh)
-    results = [evaluate_frame(pred_by_file[a.raw_file], a, cfg) for a in gt]
+    results = [evaluate_frame(pred[name], ann, cfg) for name, ann in gt.items()]
     pooled = aggregate(results)
     payload = {"version": __version__, "config": cfg.__dict__,
                "frames": len(results), **pooled.to_dict()}
@@ -330,8 +346,9 @@ def cmd_loss(args) -> int:
 
 def _add_decode_flags(parser: argparse.ArgumentParser) -> None:
     """The decode settings, shared by ``decode`` and ``infer --decode``."""
-    parser.add_argument("--fg-thresh", type=float, default=_DECODE_DEFAULTS.fg_threshold)
-    parser.add_argument("--assoc-thresh", type=float,
+    parser.add_argument("--fg-thresh", type=_finite_float,
+                        default=_DECODE_DEFAULTS.fg_threshold)
+    parser.add_argument("--assoc-thresh", type=_finite_float,
                         default=_DECODE_DEFAULTS.assoc_threshold)
     parser.add_argument("--min-cluster-size", type=int,
                         default=_DECODE_DEFAULTS.min_cluster_size)
@@ -371,8 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="score predictions against ground truth")
     ev.add_argument("--pred", required=True)
     ev.add_argument("--gt", required=True)
-    ev.add_argument("--px-thresh", type=float, default=_EVAL_DEFAULTS.px_threshold)
-    ev.add_argument("--lane-thresh", type=float, default=_EVAL_DEFAULTS.lane_match_threshold)
+    ev.add_argument("--px-thresh", type=_finite_float, default=_EVAL_DEFAULTS.px_threshold)
+    ev.add_argument("--lane-thresh", type=_finite_float,
+                    default=_EVAL_DEFAULTS.lane_match_threshold)
     ev.add_argument("--table", action="store_true",
                     help="aligned text row instead of JSON")
     ev.add_argument("--out", default=None)

@@ -273,14 +273,11 @@ def prelu(x, slope, out=None) -> np.ndarray:
 
 
 def sigmoid(x) -> np.ndarray:
-    """Numerically tame elementwise logistic; never yields NaN/Inf."""
+    """Elementwise logistic that never overflows: exp only ever sees -|x|.
+    A finite or infinite input gives a value in [0, 1]; NaN gives NaN."""
     x = as_f32(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
 
 
 def channel_zero_pad(x, target_channels: int) -> np.ndarray:

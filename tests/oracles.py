@@ -5,9 +5,10 @@ sharing no code with the library, so agreement between the two is evidence
 of correctness rather than tautology.  There are four exceptions.
 :func:`forward_ref` reads each row's conv slots from ``arch.plan_block`` (the
 layer table) but chains the rows and runs every kernel itself.
-:func:`prelu_bits_ref` and :func:`maxpool2x2_bits_ref` are the library's
-earlier numpy kernels, kept as byte-exact references for the float32 kernels
-that replaced them: they define the bits of ±0, ±inf and NaN results.  And
+:func:`prelu_bits_ref`, :func:`sigmoid_ref` and :func:`maxpool2x2_bits_ref`
+are the library's earlier numpy kernels, kept as byte-exact references for
+the float32 kernels that replaced them: they define the bits of ±0, ±inf and
+NaN results.  And
 :func:`decode_ref` is the library's earlier decoder, one column and one
 (track, cluster) pair at a time, kept as the byte-exact reference for the
 row-array decoder; it shares the greedy matcher and the result types.
@@ -107,6 +108,16 @@ def maxpool2x2_ref(x):
 def prelu_bits_ref(x, slope):
     """float32 PReLU as one select: x where x > 0, else x * slope."""
     return np.where(x > 0, x, x * np.asarray(slope, dtype=np.float32)[None, :, None, None])
+
+
+def sigmoid_ref(x):
+    """float32 logistic over two boolean-mask passes, split at x >= 0."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def maxpool2x2_bits_ref(x):

@@ -1,9 +1,11 @@
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lanekit import arch
+from lanekit import arch, cli
 from lanekit.errors import FormatError, ShapeError
 from oracles import forward_ref
 
@@ -293,6 +295,55 @@ def test_ledger_exact_at_full_size(shared_heads, params, flops, slots):
     assert arch.count_params(spec).total_params == params
     assert len(arch.weight_slots(spec)) == slots
 
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Digests recorded before the ledger and the weight slots were read from one
+# block fold; each pins every row, slot name, dims and order, not just totals.
+ARCH_JSON_DIGESTS = {
+    False: "2f134d6d30138bb2a1005b4c9dd2b4208dbe35fe1d9f88217e75d0a1fa23a8fc",
+    True: "eeba201494ee42dc02c9deaef0a10499cfe850b76f1424c58533f807b9dce798",
+}
+SLOT_DIGESTS = {  # (projection ratio, shared heads)
+    (2, False): "45bc281c163be493bc1b632e7f12601fa84cc49bb8667a8b3b7099a12eec79af",
+    (2, True): "4c21f4c8f5fc9e7429992c766016d71f1f48a72941f7935714743142cb98e48b",
+    (4, False): "bb30eadaaa0246d8159104e46062fc5f96d7497297edd49f28966214bb751b7d",
+    (4, True): "b0f37910eda761ce2d5cc2891b667cda917a48770ddcea42f77f16648d46e0f4",
+    (8, False): "61e4537b7518a9cec636857c0ca7d6279ea997bbd72c09e5fa9a8c32e564195b",
+    (8, True): "d5441bcb14949e261ad2239ce3a07d88c3fc17d83338709a93d21cb4eac83bda",
+}
+RANDOM_WEIGHTS_SEED5_DIGESTS = {
+    False: "b7173d21bf6417f3fbba7cfed629ff5b47c53a5480ac39d61cd90eb4253669c0",
+    True: "8f2ccaa1d42bf7a2b660e6b1d76f72567ecae58c6a0de282813c7482a026b122",
+}
+
+
+@pytest.mark.parametrize("shared_heads", [False, True])
+def test_arch_json_rows_pinned(capsys, shared_heads):
+    assert cli.main(["arch", "--format", "json"] + ["--shared-heads"] * shared_heads) == 0
+    payload = json.loads(capsys.readouterr().out)
+    del payload["version"]
+    assert sha256(json.dumps(payload, sort_keys=True)) == ARCH_JSON_DIGESTS[shared_heads]
+
+
+@pytest.mark.parametrize("ratio, shared_heads", SLOT_DIGESTS)
+def test_weight_slot_order_pinned(ratio, shared_heads):
+    spec = arch.build_enet21(projection_ratio=ratio, shared_heads=shared_heads)
+    digest = sha256(repr(list(arch.weight_slots(spec).items())))
+    assert digest == SLOT_DIGESTS[ratio, shared_heads]
+
+
+@pytest.mark.parametrize("shared_heads", [False, True])
+def test_random_weights_bytes_pinned(shared_heads):
+    # the slot order fixes which draw lands in which tensor
+    h = hashlib.sha256()
+    for name, w in arch.random_weights(arch.build_enet21(shared_heads=shared_heads),
+                                       seed=5).items():
+        h.update(name.encode() + w.tobytes())
+    assert h.hexdigest() == RANDOM_WEIGHTS_SEED5_DIGESTS[shared_heads]
 
 # ------------------------------------------------------------ weight files
 

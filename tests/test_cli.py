@@ -65,13 +65,22 @@ def test_encode_bad_out_location_exits_2(tmp_path):
     assert run(["encode", "--labels", labels, "--out", bad_out]) == 2
 
 
-@pytest.mark.parametrize("res", ["0x0", "160x0", "0x88", "-160x88"])
+# past the 1280x720 label frame too: 100000x100000 would allocate tens of GiB
+@pytest.mark.parametrize("res", ["0x0", "160x0", "0x88", "-160x88",
+                                 "1281x720", "1280x721", "100000x100000"])
 def test_encode_non_positive_resolution_exits_2_writing_nothing(tmp_path, capsys, res):
     labels = write_labels(tmp_path, [400])
     out = str(tmp_path / "enc")
     assert run(["encode", "--labels", labels, "--out", out, f"--res={res}"]) == 2
     assert "expected WxH, both positive" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_encode_at_the_label_frame_size(tmp_path):
+    labels = write_labels(tmp_path, [400])
+    out = str(tmp_path / "enc")
+    assert run(["encode", "--labels", labels, "--out", out, "--res=1280x720"]) == 0
+    assert T.load_tensor(os.path.join(out, "000000.mask.aft")).shape == (720, 1280)
 
 
 def test_encode_deterministic_across_runs(tmp_path):
@@ -300,6 +309,59 @@ def test_eval_order_invariance(tmp_path, capsys):
     assert run(["eval", "--pred", str(gt), "--gt", str(gt)]) == 0
     direct = json.loads(capsys.readouterr().out)
     assert shuffled == direct
+
+
+@pytest.mark.parametrize("flag", ["--px-thresh", "--lane-thresh"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_eval_thresholds_must_be_finite(tmp_path, capsys, flag, value):
+    labels = write_labels(tmp_path, [400, 800])
+    out = tmp_path / "score.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "--pred", labels, "--gt", labels, "--table", "--out", str(out),
+             f"{flag}={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag}: expected a finite number" in captured.err
+    assert not out.exists()
+
+
+def label_line(raw_file, x=640.0):
+    return json.dumps({"lanes": [[x] * len(H_SAMPLES)], "h_samples": H_SAMPLES,
+                       "raw_file": raw_file})
+
+
+@pytest.mark.parametrize("faulty", ["gt", "pred"])
+def test_eval_malformed_line_exits_2_with_no_score(tmp_path, capsys, faulty):
+    good = tmp_path / "good.json"
+    good.write_text(label_line("a.jpg") + "\n" + label_line("b.jpg") + "\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text(label_line("a.jpg") + "\n{broken\n" + label_line("b.jpg") + "\n")
+    files = {"gt": good, "pred": good, faulty: bad}
+    out = tmp_path / "score.json"
+    assert run(["eval", "--pred", str(files["pred"]), "--gt", str(files["gt"]),
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"eval: {bad}: line 2: invalid JSON" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("faulty", ["gt", "pred"])
+def test_eval_repeated_raw_file_exits_2_naming_it(tmp_path, capsys, faulty):
+    good = tmp_path / "good.json"
+    good.write_text(label_line("a.jpg") + "\n" + label_line("b.jpg") + "\n")
+    twice = tmp_path / "twice.json"
+    twice.write_text(label_line("a.jpg") + "\n" + label_line("b.jpg") + "\n"
+                     + label_line("a.jpg", x=300.0) + "\n")
+    files = {"gt": good, "pred": good, faulty: twice}
+    out = tmp_path / "score.json"
+    assert run(["eval", "--pred", str(files["pred"]), "--gt", str(files["gt"]),
+                "--table", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"eval: {twice}: raw_file 'a.jpg' appears more than once" in captured.err
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- arch
@@ -604,10 +666,27 @@ def test_loss_with_a_nan_result_exits_2_printing_no_json(tmp_path, capsys):
 
 
 def test_decode_with_an_infinite_config_exits_2_writing_nothing(tmp_path, capsys):
+    # the flag is refused as it is parsed, before any map is read
     scene = synth_scene(tmp_path, seed=6, lanes=4)
     out = tmp_path / "lanes.json"
-    assert run(["decode", "--seg", os.path.join(scene, "mask.aft"),
-                "--haf", os.path.join(scene, "haf.aft"), "--vaf", os.path.join(scene, "vaf.aft"),
-                "--out", str(out), "--assoc-thresh", "inf"]) == 2
-    assert "not JSON compliant" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["decode", "--seg", os.path.join(scene, "mask.aft"),
+             "--haf", os.path.join(scene, "haf.aft"), "--vaf", os.path.join(scene, "vaf.aft"),
+             "--out", str(out), "--assoc-thresh", "inf"])
+    assert exc.value.code == 2
+    assert "--assoc-thresh: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--fg-thresh", "--assoc-thresh"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_infer_decode_infinite_threshold_exits_2_writing_nothing(tmp_path, capsys, flag, value):
+    img_path = str(tmp_path / "img.aft")
+    T.save_tensor(img_path, np.zeros((3, 16, 16), dtype=np.float32))
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        run(["infer", "--random-init", "--image", img_path, "--out", str(out),
+             "--decode", flag, value])
+    assert exc.value.code == 2
+    assert f"{flag}: expected a finite number" in capsys.readouterr().err
     assert not out.exists()

@@ -6,7 +6,7 @@ import pytest
 from lanekit import tensor as T
 from lanekit.errors import FormatError, IntegrityError, ShapeError
 
-from oracles import conv2d_ref, maxpool2x2_ref, transposed_conv2d_ref
+from oracles import conv2d_ref, maxpool2x2_ref, sigmoid_ref, transposed_conv2d_ref
 
 
 def rng(seed=0):
@@ -222,6 +222,19 @@ def test_sigmoid_matches_high_precision():
     x = rng(13).uniform(-30, 30, (1, 1, 16, 16)).astype(np.float32)
     ref = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
     assert np.abs(T.sigmoid(x) - ref).max() <= 1e-6
+
+
+def test_sigmoid_bytes_equal_reference_over_random_bit_patterns():
+    # every float32 class: ±0, denormals, normals, ±inf and NaN payloads of both signs
+    bits = rng(14).integers(0, 2**32, 2**18, dtype=np.uint64).astype(np.uint32)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45, 88.7, -104.0],
+                        dtype=np.float32)
+    x = np.concatenate([bits.view(np.float32), specials, -specials]).reshape(1, 1, 1, -1)
+    with np.errstate(invalid="ignore"):
+        out, ref = T.sigmoid(x), sigmoid_ref(x)
+    assert out.dtype == np.float32 and out.shape == x.shape
+    assert (out.view(np.uint32) == ref.view(np.uint32)).all()
+    assert np.isnan(out[np.isnan(x)]).all()
 
 
 def test_channel_zero_pad():
