@@ -211,7 +211,7 @@ def _read_block(plan: BlockPlan, in_hw) -> tuple[dict[str, tuple[int, ...]], int
     def norm(name, ch, hw, bn, act):
         nonlocal flops
         if bn:
-            slots.update({f"{name}.bn.{part}": (ch,) for part in ("gamma", "beta", "mean", "var")})
+            slots.update({f"{name}.bn.{part}": (ch,) for part in T.BN_PARTS})
         if act:
             slots[f"{name}.slope"] = (ch,)
         flops += 2 * (bn + act) * ch * hw[0] * hw[1]
@@ -379,55 +379,47 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
 # Forward pass
 # --------------------------------------------------------------------------
 
-def _run_bn(x, store, name):
-    # in place: every caller passes an array its block has just made
-    return T.batchnorm_infer(x, store[f"{name}.bn.gamma"], store[f"{name}.bn.beta"],
-                             store[f"{name}.bn.mean"], store[f"{name}.bn.var"], out=x)
+def _run_slot(x, slot: ConvSlot, store, out=None, main=None, slope=None):
+    """One conv unit into *out* (a workspace role, an array, or None for a new array),
+    then its batchnorm, the add of *main* and PReLU by its slope, else *slope*, in one pass."""
+    conv, out_hw = ((T.conv2d, T.conv_output_hw) if slot.op == "conv"
+                    else (T.transposed_conv2d, T.transposed_output_hw))
+    if isinstance(out, str):
+        out = T.scratch(out, (len(x), slot.out_ch, *out_hw(
+            x.shape[2:], slot.kernel, slot.stride, slot.dilation, slot.padding)))
+    y = conv(x, T.ConvParams(store[f"{slot.name}.kernel"], slot.stride, slot.dilation,
+                             slot.padding), out=out)
+    bn = [store[f"{slot.name}.bn.{part}"] for part in T.BN_PARTS] if slot.bn else None
+    slope = store[f"{slot.name}.slope"] if slot.act else slope
+    return T.batchnorm_add_prelu(y, bn, main, slope, out=y)
 
 
-def _run_slot(x, slot: ConvSlot, store):
-    k = store[f"{slot.name}.kernel"]
-    p = T.ConvParams(k, stride=slot.stride, dilation=slot.dilation, padding=slot.padding)
-    x = T.conv2d(x, p) if slot.op == "conv" else T.transposed_conv2d(x, p)
-    if slot.bn:
-        x = _run_bn(x, store, slot.name)
-    if slot.act:
-        x = T.prelu(x, store[f"{slot.name}.slope"], out=x)
-    return x
-
-
-def _run_block(x, plan: BlockPlan, store, pool_stack):
-    """One row of the plan.  It writes only into arrays it made itself, never
-    into *x*: with shared heads, every head reads the same trunk output."""
-    nm = plan.layer.name
-    if plan.pool == "initial":
-        conv = _run_slot(x, plan.ext[0], store)
-        pooled, _ = T.maxpool2x2_with_indices(x)
-        x = _run_bn(np.concatenate([conv, pooled], axis=1), store, nm)
-        return T.prelu(x, store[f"{nm}.out.slope"], out=x)
+def _run_block(x, plan: BlockPlan, store, pools, role, kept):
+    """One row into the workspace buffer *role* (a head's last row: a new array), never
+    into *x*; a pooling row's main branch into block2, and its indices only if *kept*."""
+    nm, n = plan.layer.name, len(x)
     if plan.layer.kind == "conv1x1":
         return _run_slot(x, plan.ext[0], store)
-
+    slope = store[f"{nm}.out.slope"]
+    pooled = (n, x.shape[1], (x.shape[2] + 1) // 2, (x.shape[3] + 1) // 2)
+    if plan.pool == "initial":
+        y, c = T.scratch(role, (n, plan.layer.out_channels, *pooled[2:])), plan.ext[0].out_ch
+        _run_slot(x, plan.ext[0], store, y[:, :c])
+        T.maxpool2x2_with_indices(x, y[:, c:], indices=False)
+        return T.batchnorm_add_prelu(y, [store[f"{nm}.bn.{p}"] for p in T.BN_PARTS], None, slope, y)
+    main = x
     if plan.pool == "down":
-        main, idx = T.maxpool2x2_with_indices(x)
-        main = T.channel_zero_pad(main, plan.zero_pad_to)
-        pool_stack.append((idx, x.shape[2:]))
+        main = T.scratch("block2", pooled)
+        argmax = T.scratch(f"{nm}.argmax", pooled, np.int64) if nm in kept else None
+        pools.append((T.maxpool2x2_with_indices(x, main, argmax, nm in kept)[1], x.shape[2:]))
     elif plan.pool == "up":
-        idx, out_hw = pool_stack.pop()
-        main = _run_slot(x, plan.main_conv, store)
-        main = T.max_unpool2x2(main, idx, out_hw)
-    else:
-        main = x
-
+        idx, out_hw = pools.pop()
+        skip = _run_slot(x, plan.main_conv, store, "ext1")  # free until the ext chain
+        main = T.max_unpool2x2(skip, idx, out_hw, T.scratch("block2", (n, skip.shape[1], *out_hw)))
     ext = x
-    for slot in plan.ext:
-        ext = _run_slot(ext, slot, store)
-    if ext.shape != main.shape:
-        raise ShapeError(
-            f"{nm}: ext branch {tuple(ext.shape)} does not match main {tuple(main.shape)}"
-        )
-    np.add(main, ext, out=ext)
-    return T.prelu(ext, store[f"{nm}.out.slope"], out=ext)
+    for i, slot in enumerate(plan.ext[:-1]):
+        ext = _run_slot(ext, slot, store, f"ext{i}")
+    return _run_slot(ext, plan.ext[-1], store, role, main, slope)
 
 
 def forward(spec: ArchSpec, store: dict[str, np.ndarray], image: np.ndarray):
@@ -436,10 +428,11 @@ def forward(spec: ArchSpec, store: dict[str, np.ndarray], image: np.ndarray):
     image is (N, 3, H, W) with H, W divisible by 8.  Downsampling blocks
     push pooling indices that the matching upsampling block consumes.
 
-    A batch runs frame by frame, each frame with its own pool stack, so peak
-    memory is one frame's activations whatever N is.  Every kernel keeps a
-    frame's bits independent of its batch, so the maps equal those of each
-    frame run alone.
+    A batch runs frame by frame, each with its own pool stack, in buffers that the
+    calling thread keeps between calls (about 18 MB at 640x352), so peak memory is one
+    frame's activations whatever N is, and a warm frame allocates none of them.  Every
+    kernel keeps a frame's bits independent of its batch, so the maps equal those of
+    each frame run alone.  No returned map shares memory with those buffers.
     """
     validate_weights(spec, store)
     image = T.as_f32(image)
@@ -450,9 +443,15 @@ def forward(spec: ArchSpec, store: dict[str, np.ndarray], image: np.ndarray):
     if image.shape[2] % 8 or image.shape[3] % 8:
         raise ShapeError(f"image spatial dims {image.shape[2:]} not divisible by 8")
 
+    stack, kept = [], set()  # the down blocks whose pool indices an up block pops
+    walk(spec, None, lambda plan, head, x: stack.append(plan.layer.name) if plan.pool == "down"
+         else kept.add(stack.pop()) if plan.pool == "up" else None)
+
     def run(frame):
-        pool_stack: list = []
-        return walk(spec, frame, lambda plan, head, x: _run_block(x, plan, store, pool_stack))
+        pools: list = []
+        # rows by parity into block buffers 1 and 0, the trunk ending on 0; head row 20 into 2
+        return walk(spec, frame, lambda plan, head, x: _run_block(
+            x, plan, store, pools, f"block{plan.layer.id % 2 or 2 * (head is not None)}", kept))
 
     # an empty batch still runs once, so conv2d names its zero-sized dim
     frames = [run(image[i:i + 1]) for i in range(max(len(image), 1))]

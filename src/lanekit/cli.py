@@ -91,6 +91,12 @@ def _load_map(path: str, channels: int) -> np.ndarray:
     return arr
 
 
+def _finite(arr: np.ndarray, path: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise FormatError(f"{path}: holds NaN or inf; expected finite values")
+    return arr
+
+
 # ----------------------------------------------------------------- commands
 
 def cmd_encode(args) -> int:
@@ -124,9 +130,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    seg = _load_map(args.seg, 1)
-    haf = _load_map(args.haf, 1)
-    vaf = _load_map(args.vaf, 2)
+    seg = _finite(_load_map(args.seg, 1), args.seg)
+    haf = _finite(_load_map(args.haf, 1), args.haf)
+    vaf = _finite(_load_map(args.vaf, 2), args.vaf)
     if haf.shape != seg.shape or vaf.shape[1:] != seg.shape:
         raise FormatError(
             f"map resolutions differ: seg {seg.shape}, haf {haf.shape}, vaf {vaf.shape}"
@@ -287,7 +293,7 @@ def cmd_infer(args) -> int:
         raise FormatError("either --weights or --random-init is required")
     if not os.path.exists(args.image):
         raise FormatError(f"image file not found: {args.image}")
-    image = T.load_tensor(args.image)
+    image = _finite(T.load_tensor(args.image), args.image)
     if image.ndim == 3:
         image = image[None]
     if image.ndim == 4 and image.shape[0] != 1:

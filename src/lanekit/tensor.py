@@ -1,9 +1,9 @@
 """Deterministic float32 tensor kernels with explicit (N, C, H, W) layout.
 
-Everything in this module is a pure function over numpy arrays: same inputs
-give bit-identical outputs.  There is no autograd, no GPU path and no
-implicit broadcasting; shape mismatches raise
-:class:`~lanekit.errors.ShapeError` naming both shapes.
+Everything in this module is a pure function over numpy arrays: same inputs give
+bit-identical outputs, never a view of the :func:`scratch` buffers that keep temporaries
+between calls.  There is no autograd, no GPU path and no implicit broadcasting; shape
+mismatches raise :class:`~lanekit.errors.ShapeError` naming both shapes.
 
 Tensors are stored row-major, channel-major within batch.  The `.aft` file
 format used throughout the toolkit is defined by :func:`save_tensor` /
@@ -15,6 +15,7 @@ import math
 import os
 import struct
 import tempfile
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,18 @@ AFT_MAGIC = b"AFT1"
 
 BATCHNORM_EPS = 1e-5
 PRELU_DEFAULT_SLOPE = 0.25
+BN_PARTS = ("gamma", "beta", "mean", "var")
 PRELU_BLOCK = 1 << 17  # float32 values: 512 KiB, a quarter of a 2 MiB L2 cache
+CONV_BAND = 1 << 18  # im2col column elements per GEMM: 1 MiB of float32
+_SCRATCH = threading.local()
+
+
+def scratch(role: str, shape, dtype=np.float32) -> np.ndarray:
+    """*shape* over this thread's grow-only buffer for *role* ("temp": each kernel's own)."""
+    bufs, size = _SCRATCH.__dict__, math.prod(shape)
+    if role not in bufs or bufs[role].size < size:
+        bufs[role] = np.empty(size, dtype)
+    return bufs[role][:size].reshape(shape)
 
 
 def as_f32(x) -> np.ndarray:
@@ -106,8 +118,9 @@ def transposed_output_hw(hw, kernel, stride, dilation, padding) -> tuple[int, in
     return oh, ow
 
 
-def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    """Exact cross-correlation of a (N,C,H,W) tensor with p.kernel."""
+def conv2d(x: np.ndarray, p: ConvParams, out=None) -> np.ndarray:
+    """Exact cross-correlation of a (N,C,H,W) tensor with p.kernel, into a C-contiguous
+    ``out`` if given, one band of at most CONV_BAND column elements at a time."""
     x = as_f32(x)
     _require_nchw(x)
     n, c, h, w = x.shape
@@ -124,22 +137,32 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
             f"(stride={p.stride}, dilation={p.dilation}, padding={p.padding})"
         )
     if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        x, src = scratch("conv.pad", (n, c, h + 2 * ph, w + 2 * pw)), x
+        x[:, :, :ph] = x[:, :, h + ph:] = x[:, :, :, :pw] = x[:, :, :, w + pw:] = 0
+        x[:, :, ph:ph + h, pw:pw + w] = src
+    out = np.empty((n, oc, oh, ow), dtype=np.float32) if out is None else out
     sn, sc, srh, srw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, oh, ow),
-        strides=(sn, sc, dh * srh, dw * srw, sh * srh, sw * srw),
-        writeable=False,
-    )
-    # one (oc x K) . (K x oh*ow) GEMM per frame: a frame's bits do not depend on its batch
-    k = c * kh * kw
-    out = np.matmul(p.kernel.reshape(oc, k), windows.reshape(n, k, oh * ow))
-    return out.reshape(n, oc, oh, ow)
+    # per frame, GEMMs of (oc x K) . (K x rows*ow); a 1x1 stride-1 conv's columns are its
+    # input rows.  Bands of equal rows, give or take one, are never thin enough for BLAS to
+    # take another kernel (with other bits), so the bits depend on neither batch nor band
+    k, direct = c * kh * kw, kh * kw * sh * sw == 1
+    rows = oh if direct else max(1, CONV_BAND // (n * k * ow))
+    rows = -(-oh // -(-oh // rows))
+    for i in range(0, oh, rows):
+        r = min(rows, oh - i)
+        windows = np.lib.stride_tricks.as_strided(
+            x[:, :, i * sh:], shape=(n, c, kh, kw, r, ow),
+            strides=(sn, sc, dh * srh, dw * srw, sh * srh, sw * srw), writeable=False)
+        cols = windows.reshape(n, k, r * ow) if direct else scratch("temp", (n, k, r * ow))
+        if not direct:
+            np.copyto(cols.reshape(windows.shape), windows)
+        band = out.reshape(n, oc, -1)[:, :, i * ow:(i + r) * ow]  # a view: out is C-contiguous
+        np.matmul(p.kernel.reshape(oc, k), cols, out=band)
+    return out
 
 
-def transposed_conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    """Transposed convolution (scatter-add of kernel taps)."""
+def transposed_conv2d(x: np.ndarray, p: ConvParams, out=None) -> np.ndarray:
+    """Transposed convolution (scatter-add of kernel taps), into ``out`` if given."""
     x = as_f32(x)
     _require_nchw(x)
     n, c, h, w = x.shape
@@ -156,7 +179,8 @@ def transposed_conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
         raise ShapeError(
             f"padding {p.padding} swallows the whole output for input {tuple(x.shape)}"
         )
-    full = np.zeros((n, oc, fh, fw), dtype=np.float32)
+    full = scratch("temp", (n, oc, fh, fw))
+    full.fill(0)
     for i in range(kh):
         for j in range(kw):
             tap = np.tensordot(p.kernel[:, :, i, j], x, axes=([1], [1]))
@@ -165,11 +189,14 @@ def transposed_conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
                 :, :, i * dh : i * dh + sh * (h - 1) + 1 : sh,
                 j * dw : j * dw + sw * (w - 1) + 1 : sw,
             ] += tap
-    return np.ascontiguousarray(full[:, :, ph : fh - ph, pw : fw - pw])
+    out = np.empty((n, oc, oh, ow), dtype=np.float32) if out is None else out
+    np.copyto(out, full[:, :, ph : fh - ph, pw : fw - pw])
+    return out
 
 
-def maxpool2x2_with_indices(x: np.ndarray) -> tuple[np.ndarray, PoolIndices]:
-    """2x2/stride-2 max pooling, recording per-window argmax positions.
+def maxpool2x2_with_indices(x: np.ndarray, out=None, argmax=None, indices=True) -> tuple:
+    """2x2/stride-2 max pooling, recording per-window argmax positions, into ``out``
+    and the int64 ``argmax`` if given; with ``indices=False`` it returns None for them.
 
     Odd trailing rows/columns are treated as padded with -inf, so pooling is
     well defined for any spatial size.  Ties pick the first cell in row-major
@@ -184,26 +211,31 @@ def maxpool2x2_with_indices(x: np.ndarray) -> tuple[np.ndarray, PoolIndices]:
         xp = np.full((n, c, 2 * h2, 2 * w2), -np.inf, dtype=np.float32)
         xp[:, :, :h, :w] = x
     cells = [xp[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
-    top = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
+    top = np.empty((n, c, h2, w2), dtype=np.float32) if out is None else out
+    np.maximum(np.maximum(cells[0], cells[1], out=top), cells[2], out=top)
+    np.maximum(top, cells[3], out=top)
+    has_nan = np.isnan(top.max())  # a NaN cell makes its max NaN
+    fix = np.nonzero((top == 0) | np.isnan(top) if has_nan else top == 0)
     # loc is the first cell equal to the max, or the first NaN if the max is
     # NaN: start at 3 and count down once for each of cells 0-2 from that hit on
-    has_nan = np.isnan(top.max())  # a NaN cell makes its max NaN
-    loc = np.full(top.shape, 3, dtype=np.uint8)
-    seen = np.zeros(top.shape, dtype=bool)
+    at = Ellipsis if indices else fix
+    loc, seen = np.full(top[at].shape, 3, dtype=np.uint8), np.zeros(top[at].shape, dtype=bool)
     for cell in cells[:3]:
-        seen |= ((cell == top) | np.isnan(cell)) if has_nan else (cell == top)
+        seen |= ((cell[at] == top[at]) | np.isnan(cell[at])) if has_nan else (cell[at] == top[at])
         loc -= seen
-    base = 2 * w * np.arange(h2, dtype=np.int64)[:, None] + 2 * np.arange(w2, dtype=np.int64)
-    flat = base + np.take(np.array([0, 1, w, w + 1], dtype=np.int64), loc)
     # a max that is not a zero or a NaN has the bits of the winning cell
-    out = top.copy()
-    fix = np.flatnonzero((top == 0) | np.isnan(top) if has_nan else top == 0)
-    out.reshape(-1)[fix] = x.reshape(n * c, h * w)[fix // (h2 * w2), flat.reshape(-1)[fix]]
-    return out.reshape(n, c, h2, w2), PoolIndices(dims=(n, c, h2, w2), argmax=flat)
+    top[fix] = np.choose(loc[fix] if indices else loc, [cell[fix] for cell in cells])
+    if not indices:
+        return top, None
+    # mode="clip" writes straight into argmax, where "raise" would buffer
+    flat = np.take(np.array([0, 1, w, w + 1], dtype=np.int64), loc, out=argmax, mode="clip")
+    flat += 2 * w * np.arange(h2, dtype=np.int64)[:, None] + 2 * np.arange(w2, dtype=np.int64)
+    return top, PoolIndices(dims=(n, c, h2, w2), argmax=flat)
 
 
-def max_unpool2x2(x: np.ndarray, idx: PoolIndices, out_hw: tuple[int, int]) -> np.ndarray:
-    """Scatter pooled values back to their argmax positions; zeros elsewhere."""
+def max_unpool2x2(x: np.ndarray, idx: PoolIndices, out_hw, out=None) -> np.ndarray:
+    """Scatter pooled values to their argmax positions, zeros elsewhere, into a
+    C-contiguous ``out`` if given."""
     x = as_f32(x)
     _require_nchw(x)
     if tuple(idx.dims) != tuple(x.shape):
@@ -217,9 +249,10 @@ def max_unpool2x2(x: np.ndarray, idx: PoolIndices, out_hw: tuple[int, int]) -> n
         raise IntegrityError(
             f"pooling indices address cells outside the {oh}x{ow} output plane"
         )
-    out = np.zeros((n, c, oh * ow), dtype=np.float32)
-    np.put_along_axis(out, flat.reshape(n, c, -1), x.reshape(n, c, -1), axis=-1)
-    return out.reshape(n, c, oh, ow)
+    out = np.empty((n, c, oh, ow), dtype=np.float32) if out is None else out
+    out.fill(0)
+    np.put_along_axis(out.reshape(n, c, -1), flat.reshape(n, c, -1), x.reshape(n, c, -1), axis=-1)
+    return out
 
 
 def _per_channel(v, channels: int, name: str) -> np.ndarray:
@@ -235,40 +268,51 @@ def batchnorm_infer(x, gamma, beta, mean, var, eps: float = BATCHNORM_EPS,
                     out=None) -> np.ndarray:
     """Inference-mode batch normalization: gamma*(x-mean)/sqrt(var+eps)+beta,
     written into ``out`` if given (it may be *x*)."""
-    x = as_f32(x)
-    _require_nchw(x)
-    c = x.shape[1]
-    g, b = _per_channel(gamma, c, "gamma"), _per_channel(beta, c, "beta")
-    m, v = _per_channel(mean, c, "mean"), _per_channel(var, c, "var")
-    if (v < 0).any():
-        raise ShapeError("variance must be non-negative")
-    scale = g / np.sqrt(v + np.float32(eps))
-    shift = b - m * scale
-    y = np.multiply(x, scale[None, :, None, None], out=out)
-    return np.add(y, shift[None, :, None, None], out=y)
+    return batchnorm_add_prelu(x, (gamma, beta, mean, var), out=out, eps=eps)
 
 
 def prelu(x, slope, out=None) -> np.ndarray:
     """Per-channel PReLU: x if x > 0 else slope * x, written into ``out`` if
-    given (it may be *x*).
+    given (it may be *x*)."""
+    return batchnorm_add_prelu(x, slope=slope, out=out)
 
-    With every slope in (0, 1] this is max(x * slope, x), as numpy returns
-    the second operand on a tie and the first if it is NaN.  Other slopes
-    take max(x, -0.0) + min(0, x) * slope, which adds exactly: min(0, x)
-    keeps the sign of a zero x and max(x, -0.0) is -0.0 wherever x <= 0.
-    """
+
+def batchnorm_add_prelu(x, bn=None, main=None, slope=None, out=None,
+                        eps: float = BATCHNORM_EPS) -> np.ndarray:
+    """x * scale + shift for bn = (gamma, beta, mean, var), then main + x (+0.0 past
+    main's channels, as a zero-padded main adds), then PReLU, each step optional and
+    rounded as alone, a block of channels at a time, into ``out`` if given (may be x).
+    PReLU is max(x * slope, x) if every slope is in (0, 1] (numpy returns the second
+    operand on a tie, the first if NaN), else the exact max(x, -0.0) + min(0, x) * slope."""
     x = as_f32(x)
     _require_nchw(x)
-    s = _per_channel(slope, x.shape[1], "slope")[None, :, None, None]
-    y = np.empty_like(x) if out is None else out
-    two_pass = np.all((s > 0) & (s <= 1))
+    y, c = x.copy() if out is None else out, x.shape[1]
+    if out is not None and out is not x:
+        np.copyto(out, x)
+    if main is not None and (main.shape[1] > c or main[:, :0].shape != x[:, :0].shape):
+        raise ShapeError(f"main {tuple(main.shape)} does not fit {tuple(x.shape)}")
+    if bn is not None:
+        gamma, beta, mean, var = (_per_channel(a, c, name) for a, name in zip(bn, BN_PARTS))
+        if (var < 0).any():
+            raise ShapeError("variance must be non-negative")
+        scale = gamma / np.sqrt(var + np.float32(eps))
+        shift = beta - mean * scale
+    s = None if slope is None else _per_channel(slope, c, "slope")
+    two_pass = s is not None and np.all((s > 0) & (s <= 1))
     step = max(1, PRELU_BLOCK // x[:, :1].size)  # a block's temporaries stay in cache
-    for b in (slice(i, i + step) for i in range(0, x.shape[1], step)):
+    for b in (slice(i, i + step) for i in range(0, c, step)):
+        yb = y[:, b]
+        if bn is not None:
+            np.add(np.multiply(yb, scale[b, None, None], out=yb), shift[b, None, None], out=yb)
+        if main is not None:
+            k = main[:, b].shape[1]
+            np.add(main[:, b], yb[:, :k], out=yb[:, :k])
+            np.add(0.0, yb[:, k:], out=yb[:, k:])
         if two_pass:
-            np.maximum(x[:, b] * s[:, b], x[:, b], out=y[:, b])
-        else:
-            neg = np.minimum(0, x[:, b]) * s[:, b]
-            np.add(np.maximum(x[:, b], -0.0, out=y[:, b]), neg, out=y[:, b])
+            np.maximum(np.multiply(yb, s[b, None, None], out=scratch("temp", yb.shape)), yb, out=yb)
+        elif s is not None:
+            neg = np.minimum(0, yb) * s[b, None, None]
+            np.add(np.maximum(yb, -0.0, out=yb), neg, out=yb)
     return y
 
 

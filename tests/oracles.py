@@ -5,10 +5,11 @@ sharing no code with the library, so agreement between the two is evidence
 of correctness rather than tautology.  There are four exceptions.
 :func:`forward_ref` reads each row's conv slots from ``arch.plan_block`` (the
 layer table) but chains the rows and runs every kernel itself.
-:func:`prelu_bits_ref`, :func:`sigmoid_ref` and :func:`maxpool2x2_bits_ref`
-are the library's earlier numpy kernels, kept as byte-exact references for
-the float32 kernels that replaced them: they define the bits of ±0, ±inf and
-NaN results.  And
+:func:`conv2d_bits_ref`, :func:`prelu_bits_ref`, :func:`sigmoid_ref` and
+:func:`maxpool2x2_bits_ref` are the library's earlier numpy kernels, kept as
+byte-exact references for the float32 kernels that replaced them: they define
+the bits of ±0, ±inf and NaN results, and of a conv2d run as one GEMM per
+frame.  And
 :func:`decode_ref` is the library's earlier decoder, one column and one
 (track, cluster) pair at a time, kept as the byte-exact reference for the
 row-array decoder; it shares the greedy matcher and the result types.
@@ -103,6 +104,23 @@ def maxpool2x2_ref(x):
                     out[b, ci, i, j] = best
                     arg[b, ci, i, j] = best_pos
     return out, arg
+
+
+def conv2d_bits_ref(x, kernel, stride=(1, 1), dilation=(1, 1), padding=(0, 0)):
+    """float32 cross-correlation as one im2col copy and one GEMM per frame."""
+    n, c, h, w = x.shape
+    oc, _, kh, kw = kernel.shape
+    (sh, sw), (dh, dw), (ph, pw) = stride, dilation, padding
+    oh = (h + 2 * ph - dh * (kh - 1) - 1) // sh + 1
+    ow = (w + 2 * pw - dw * (kw - 1) - 1) // sw + 1
+    x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    sn, sc, srh, srw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, kh, kw, oh, ow),
+        strides=(sn, sc, dh * srh, dw * srw, sh * srh, sw * srw), writeable=False)
+    k = c * kh * kw
+    out = np.matmul(kernel.reshape(oc, k), windows.reshape(n, k, oh * ow))
+    return out.reshape(n, oc, oh, ow)
 
 
 def prelu_bits_ref(x, slope):

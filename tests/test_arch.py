@@ -1,13 +1,16 @@
 import hashlib
 import json
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from lanekit import arch, cli
+from lanekit import tensor as T
 from lanekit.errors import FormatError, ShapeError
-from oracles import forward_ref
+from oracles import conv2d_bits_ref, forward_ref
 
 # Table of the 21-layer network at the 640x352 input, as (C, H, W) per row.
 # The published stage-2/3 width cell (88) contradicts the table's own halving
@@ -264,6 +267,91 @@ def test_forward_peak_memory_is_one_frame():
 
     one, four = peak(img[:1]), peak(img)
     assert four <= 1.25 * one, (one, four)
+
+
+# sha256 of the seg, haf and vaf bytes of a 2x3x64x96 forward (weight seed 5,
+# every PReLU slope set to one value); slopes of -0.5 and 1.5 take PReLU's
+# four-pass route.  A kernel rewrite that keeps the bits keeps these.
+FORWARD_DIGESTS = {  # (shared heads, slope)
+    (False, 0.25): "db4afd04a166ef69ebcdb9930ddd0a172ce025815ae4f863933034ef1730935e",
+    (False, 1.5): "6bb75432744cd525a1a88f9ed2bd2dfa135bcee6958b2224c3a016590f755532",
+    (False, -0.5): "7eb4670504c80125648c023e41251b685d617185c1c5f833e7a42930c80d6717",
+    (True, 0.25): "ce3434968f60129f9f7723c92687d863b59012c71251e8b42b3d47c89fa099c4",
+    (True, 1.5): "a1381cd19fe63ec3aa002f3ab46e90527a422deb2083e3b13638275e658863aa",
+    (True, -0.5): "7cf134c842a911bb52133f503a688abd56d5ce45bb53e199ee985b75e4944f94",
+}
+
+
+@pytest.mark.parametrize("shared_heads, slope", FORWARD_DIGESTS)
+def test_forward_bytes_pinned(shared_heads, slope):
+    spec = arch.build_enet21(shared_heads=shared_heads)
+    store = {name: np.full_like(w, slope) if name.endswith(".slope") else w
+             for name, w in arch.random_weights(spec, seed=5).items()}
+    img = np.random.default_rng(15).standard_normal((2, 3, 64, 96)).astype(np.float32)
+    h = hashlib.sha256()
+    for out in arch.forward(spec, store, img):
+        assert np.isfinite(out).all()
+        h.update(out.tobytes())
+    assert h.hexdigest() == FORWARD_DIGESTS[shared_heads, slope]
+
+
+@pytest.mark.parametrize("band", [2**12, 2**16])
+def test_banded_conv2d_bytes_equal_one_gemm_per_frame(band, monkeypatch):
+    # every conv geometry of a 352x640 forward, cut into bands of one row (2**12)
+    # or a few rows (2**16) instead of 2**18 elements
+    spec = arch.build_enet21()
+    img = np.random.default_rng(4).standard_normal((1, 3, 352, 640)).astype(np.float32)
+    calls, conv = {}, T.conv2d
+
+    def spy(x, p, out=None):
+        calls.setdefault((x.shape, p.kernel.shape, p.stride, p.dilation, p.padding), (x.copy(), p))
+        return conv(x, p, out=out)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(T, "conv2d", spy)
+        arch.forward(spec, arch.random_weights(spec, seed=5), img)
+    assert len(calls) >= 10
+    monkeypatch.setattr(T, "CONV_BAND", band)
+    for x, p in calls.values():
+        want = conv2d_bits_ref(x, p.kernel, p.stride, p.dilation, p.padding)
+        out = np.full_like(want, np.nan)
+        assert T.conv2d(x, p, out=out) is out
+        assert out.tobytes() == T.conv2d(x, p).tobytes() == want.tobytes()
+
+
+def test_warm_forward_traces_under_half_the_per_call_peak():
+    # a forward that allocated its buffers per call traced a 19.1 MiB peak here
+    spec = arch.build_enet21()
+    store = arch.random_weights(spec, seed=5)
+    img = np.random.default_rng(6).random((1, 3, 352, 640), dtype=np.float32)
+    arch.forward(spec, store, img)
+    tracemalloc.start()
+    try:
+        arch.forward(spec, store, img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 19.1 / 2 * 2**20, peak / 2**20
+
+
+def test_forward_threads_and_later_calls_leave_maps_alone():
+    spec = arch.build_enet21()
+    store = arch.random_weights(spec, seed=5)
+    imgs = np.random.default_rng(7).standard_normal((8, 1, 3, 64, 96)).astype(np.float32)
+    serial = [arch.forward(spec, store, img) for img in imgs]
+    kept = [[m.copy() for m in maps] for maps in serial]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-kernel
+    try:
+        # more threads than cores, each with buffers of its own
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(lambda img: arch.forward(spec, store, img), imgs,
+                                     timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for maps, copies, other in zip(serial, kept, threaded):
+        for got, want, again in zip(maps, copies, other):
+            assert got.tobytes() == want.tobytes() == again.tobytes()
 
 
 def test_forward_rejects_empty_batch():

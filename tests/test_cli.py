@@ -240,6 +240,24 @@ def test_decode_empty_seg_yields_no_lanes(tmp_path):
     assert json.loads(open(out).read())["lanes"] == []
 
 
+@pytest.mark.parametrize("name, bad", [("seg", np.nan), ("haf", np.inf), ("vaf", -np.inf),
+                                       ("vaf", np.nan)])
+def test_decode_non_finite_map_exits_2_writing_nothing(tmp_path, capsys, name, bad):
+    scene = synth_scene(tmp_path, seed=7, lanes=2)
+    paths = {m: os.path.join(scene, f"{m}.aft") for m in ("seg", "haf", "vaf")}
+    T.save_tensor(paths["seg"], (T.load_tensor(os.path.join(scene, "mask.aft")) > 0)
+                  .astype(np.float32))
+    arr = T.load_tensor(paths[name])
+    arr.reshape(-1)[arr.size // 2] = bad
+    # an all-NaN seg map decoded to no lanes, with exit 0
+    T.save_tensor(paths[name], np.full_like(arr, np.nan) if name == "seg" else arr)
+    out = str(tmp_path / "lanes.json")
+    assert run(["decode", "--seg", paths["seg"], "--haf", paths["haf"], "--vaf", paths["vaf"],
+                "--out", out]) == 2
+    assert f"{paths[name]}: holds NaN or inf" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_decode_corrupt_magic_exits_2_no_partial_output(tmp_path):
     scene = synth_scene(tmp_path, seed=8, lanes=2)
     bad = os.path.join(scene, "bad.aft")
@@ -548,6 +566,18 @@ def test_infer_non_finite_weights_exit_2(tmp_path, capsys, bad):
     out = str(tmp_path / "o")
     assert run(["infer", "--weights", wpath, "--image", img_path, "--out", out]) == 2
     assert "bottleneck2.3.main.bn.var" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_infer_non_finite_image_exits_2_writing_nothing(tmp_path, capsys, bad):
+    img_path = str(tmp_path / "img.aft")
+    img = np.random.default_rng(3).random((3, 16, 16)).astype(np.float32)
+    img[1, 2, 3] = bad
+    T.save_tensor(img_path, np.full_like(img, np.nan) if np.isnan(bad) else img)
+    out = str(tmp_path / "o")
+    assert run(["infer", "--random-init", "--image", img_path, "--out", out, "--decode"]) == 2
+    assert f"{img_path}: holds NaN or inf" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -23,7 +23,7 @@ from lanekit import affinity as af
 from lanekit import arch
 from lanekit import dataset as D
 from lanekit import tensor as T
-from lanekit.errors import LanekitError
+from lanekit.errors import LanekitError, ShapeError
 from oracles import (association_error_pair_ref, decode_ref, maxpool2x2_bits_ref,
                      prelu_bits_ref, rasterize_ref)
 
@@ -205,9 +205,76 @@ def test_batchnorm_in_place_bytes_equal_out_of_place(x, data):
     assert same_bits(y, ref)
 
 
-def _bits_ref_maxpool(x):
-    out, arg = maxpool2x2_bits_ref(x)
-    return out, T.PoolIndices(dims=out.shape, argmax=arg)
+def _bits_ref_batchnorm_add_prelu(x, bn=None, main=None, slope=None, out=None):
+    """Batchnorm, the add of a zero-padded main and PReLU as the separate float32
+    passes that the fused kernel replaced."""
+    y = np.array(x, dtype=np.float32)
+    if bn is not None:
+        gamma, beta, mean, var = (np.asarray(a, dtype=np.float32) for a in bn)
+        scale = gamma / np.sqrt(var + np.float32(T.BATCHNORM_EPS))
+        y = y * scale[:, None, None] + (beta - mean * scale)[:, None, None]
+    if main is not None:
+        pad = np.zeros((len(y), y.shape[1] - main.shape[1], *y.shape[2:]), np.float32)
+        y = np.concatenate([main, pad], axis=1) + y
+    if slope is not None:
+        y = prelu_bits_ref(y, slope)
+    if out is None:
+        return y
+    out[...] = y
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_arrays, prelu_blocks, st.data())
+def test_batchnorm_add_prelu_bytes_equal_separate_passes(x, block, data):
+    nonneg = EDGE_F32[~np.signbit(EDGE_F32) & np.isfinite(EDGE_F32)]
+    bn = [per_channel(x, EDGE_F32, data) for _ in range(3)] + [per_channel(x, nonneg, data)]
+    n, c, h, w = x.shape
+    k = data.draw(st.integers(1, c))
+    main = EDGE_F32[data.draw(st.lists(st.integers(0, len(EDGE_F32) - 1), min_size=n * k * h * w,
+                                       max_size=n * k * h * w))].reshape(n, k, h, w)
+    slope = per_channel(x, SLOPES_F32, data)
+    args = [a if data.draw(st.booleans()) else None for a in (bn, main, slope)]
+    with np.errstate(all="ignore"), mock.patch.object(T, "PRELU_BLOCK", block):
+        ref = _bits_ref_batchnorm_add_prelu(x, *args)
+        y = x.copy()
+        assert T.batchnorm_add_prelu(y, *args, out=y) is y
+        outs = (T.batchnorm_add_prelu(x, *args), y)
+    # where two NaNs meet in a multiply or an add, numpy's loops return either one,
+    # by position in the loop, so a NaN's payload is left open here; the PReLU
+    # properties above pin the payload that one NaN operand carries through
+    nan = np.isnan(ref)
+    for got in outs:
+        assert got.shape == x.shape and (np.isnan(got) == nan).all()
+        assert same_bits(got[~nan], ref[~nan])
+
+
+def test_batchnorm_add_prelu_names_a_main_that_does_not_fit():
+    x = np.zeros((1, 2, 3, 4), np.float32)
+    for main in (np.zeros((1, 3, 3, 4), np.float32), np.zeros((1, 2, 3, 5), np.float32)):
+        with pytest.raises(ShapeError, match=r"main \(1, \d, 3, \d\) does not fit \(1, 2, 3, 4\)"):
+            T.batchnorm_add_prelu(x, main=main)
+
+
+def _bits_ref_maxpool(x, out=None, argmax=None, indices=True):
+    top, arg = maxpool2x2_bits_ref(x)
+    if out is not None:
+        out[...] = top
+    return (top if out is None else out), (T.PoolIndices(dims=top.shape, argmax=arg)
+                                           if indices else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_arrays)
+@example(np.random.default_rng(0).standard_normal((2, 3, 7, 9)).astype(np.float32))
+def test_values_only_maxpool_bytes_equal_maxpool(x):
+    want, idx = T.maxpool2x2_with_indices(x)
+    top, none = T.maxpool2x2_with_indices(x, indices=False)
+    assert none is None and same_bits(top, want)
+    out, argmax = np.empty_like(want), np.empty(want.shape, np.int64)
+    top, got = T.maxpool2x2_with_indices(x, out, argmax)
+    assert top is out and got.argmax is argmax
+    assert same_bits(out, want) and same_bits(argmax, idx.argmax)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -227,7 +294,7 @@ def test_forward_bytes_equal_forward_on_reference_kernels(shared_heads, slopes, 
     img = np.random.default_rng(3).standard_normal((2, 3, 32, 48)).astype(np.float32)
     monkeypatch.setattr(T, "PRELU_BLOCK", block)
     got = arch.forward(spec, store, img)
-    monkeypatch.setattr(T, "prelu", lambda x, slope, out=None: prelu_bits_ref(x, slope))
+    monkeypatch.setattr(T, "batchnorm_add_prelu", _bits_ref_batchnorm_add_prelu)
     monkeypatch.setattr(T, "maxpool2x2_with_indices", _bits_ref_maxpool)
     for a, b in zip(got, arch.forward(spec, store, img)):
         assert same_bits(a, b)
