@@ -11,7 +11,7 @@ from .affinity import (  # noqa: F401
     decode,
     encode_affinities,
 )
-from .arch import ArchSpec, build_enet21, count_flops, count_params, forward, shape_trace  # noqa: F401
+from .arch import ArchSpec, build_enet21, count_flops, count_params, forward  # noqa: F401
 from .dataset import LaneAnnotation, lanes_to_annotation, parse_tusimple, rasterize  # noqa: F401
 from .evaluate import EvalConfig, EvalResult, aggregate, evaluate_frame, f1_from_rates  # noqa: F401
 from .losses import LossBreakdown, af_loss, iou_loss, total_loss, wbce_loss  # noqa: F401

@@ -12,8 +12,9 @@ per-layer plan, :func:`walk`, which alone owns the branch rule: the trunk
 rows chain from the image, and each head starts from the trunk output, or,
 with shared heads, from the output of rows 19-20, which then run once.  Each
 block is read once, by :func:`_read_block`, for its weight slots, FLOPs and
-output size.  The weight store, the shape trace and both ledgers fold over
-that reading, and the forward pass runs the same plans.
+output size.  The weight store and both ledgers fold over that reading, and
+the forward pass runs the same plans.  A row's ``kind`` alone says what its
+block does; every reader of a plan branches on it.
 """
 from __future__ import annotations
 
@@ -30,15 +31,17 @@ WEIGHTS_MAGIC = b"AFW1"
 
 HEAD_CHANNELS = {"seg": 1, "haf": 1, "vaf": 2}
 
+# a bottleneck's projection and main convs run at out_channels // 4, as in ENet
+PROJECTION_RATIO = 4
+
 
 @dataclass(frozen=True)
 class LayerSpec:
     id: int                      # table-row ordinal, 1..21
     name: str                    # e.g. "bottleneck2.3"
-    kind: str                    # "initial" | "bottleneck" | "conv1x1"
-    variant: str                 # "plain" | "downsampling" | "upsampling" | "dilated"
+    kind: str                    # "initial" | "down" | "up" | "bottleneck" | "conv1x1"
     out_channels: int
-    dilation: int = 1
+    dilation: int = 1            # of a "bottleneck" row's main conv
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,6 @@ class HeadSpec:
 class ArchSpec:
     layers: tuple[LayerSpec, ...]      # trunk rows 1..18
     heads: tuple[HeadSpec, ...]        # rows 19..21, one branch per output
-    projection_ratio: int = 4
     shared_heads: bool = False
 
 
@@ -74,13 +76,8 @@ class ConvSlot:
 @dataclass(frozen=True)
 class BlockPlan:
     layer: LayerSpec
-    in_ch: int
     ext: tuple[ConvSlot, ...]
-    main_conv: ConvSlot | None = None   # skip-branch 1x1 conv (upsampling only)
-    pool: str | None = None             # "down" | "up" | "initial"
-    zero_pad_to: int | None = None
-    post_act: bool = True               # PReLU after the residual add
-    post_bn: bool = False               # initial block normalizes after concat
+    main_conv: ConvSlot | None = None   # skip-branch 1x1 conv ("up" only)
 
 
 @dataclass
@@ -100,31 +97,29 @@ class ArchReport:
     total_flops: int = 0
 
 
-def build_enet21(projection_ratio: int = 4, shared_heads: bool = False) -> ArchSpec:
+def build_enet21(shared_heads: bool = False) -> ArchSpec:
     """The 21-row lane network: 18 trunk rows plus three 3-row heads."""
-    rows: list[LayerSpec] = [LayerSpec(1, "initial", "initial", "plain", 16)]
-
-    def bn(i, name, variant, ch, dil=1):
-        rows.append(LayerSpec(i, name, "bottleneck", variant, ch, dil))
-
-    bn(2, "bottleneck1.0", "downsampling", 64)
-    bn(3, "bottleneck1.1", "dilated", 64, 2)
-    bn(4, "bottleneck1.2", "dilated", 64, 4)
-    bn(5, "bottleneck2.0", "downsampling", 128)
-    bn(6, "bottleneck2.1", "plain", 128)
-    bn(7, "bottleneck2.2", "dilated", 128, 2)
-    bn(8, "bottleneck2.3", "dilated", 128, 4)
-    bn(9, "bottleneck2.4", "dilated", 128, 8)
-    bn(10, "bottleneck2.5", "dilated", 128, 16)
-    # stage 3 repeats stage 2 without the leading downsampler
-    bn(11, "bottleneck3.1", "plain", 128)
-    bn(12, "bottleneck3.2", "dilated", 128, 2)
-    bn(13, "bottleneck3.3", "dilated", 128, 4)
-    bn(14, "bottleneck3.4", "dilated", 128, 8)
-    bn(15, "bottleneck3.5", "dilated", 128, 16)
-    bn(16, "bottleneck4.0", "upsampling", 64)
-    bn(17, "bottleneck4.1", "plain", 64)
-    bn(18, "bottleneck4.2", "plain", 64)
+    rows = (
+        LayerSpec(1, "initial", "initial", 16),
+        LayerSpec(2, "bottleneck1.0", "down", 64),
+        LayerSpec(3, "bottleneck1.1", "bottleneck", 64, 2),
+        LayerSpec(4, "bottleneck1.2", "bottleneck", 64, 4),
+        LayerSpec(5, "bottleneck2.0", "down", 128),
+        LayerSpec(6, "bottleneck2.1", "bottleneck", 128),
+        LayerSpec(7, "bottleneck2.2", "bottleneck", 128, 2),
+        LayerSpec(8, "bottleneck2.3", "bottleneck", 128, 4),
+        LayerSpec(9, "bottleneck2.4", "bottleneck", 128, 8),
+        LayerSpec(10, "bottleneck2.5", "bottleneck", 128, 16),
+        # stage 3 repeats stage 2 without the leading downsampler
+        LayerSpec(11, "bottleneck3.1", "bottleneck", 128),
+        LayerSpec(12, "bottleneck3.2", "bottleneck", 128, 2),
+        LayerSpec(13, "bottleneck3.3", "bottleneck", 128, 4),
+        LayerSpec(14, "bottleneck3.4", "bottleneck", 128, 8),
+        LayerSpec(15, "bottleneck3.5", "bottleneck", 128, 16),
+        LayerSpec(16, "bottleneck4.0", "up", 64),
+        LayerSpec(17, "bottleneck4.1", "bottleneck", 64),
+        LayerSpec(18, "bottleneck4.2", "bottleneck", 64),
+    )
 
     heads = []
     for hname, c_out in HEAD_CHANNELS.items():
@@ -133,51 +128,43 @@ def build_enet21(projection_ratio: int = 4, shared_heads: bool = False) -> ArchS
             HeadSpec(
                 hname,
                 (
-                    LayerSpec(19, f"{prefix}.bottleneck5.0", "bottleneck", "plain", 64),
-                    LayerSpec(20, f"{prefix}.bottleneck5.1", "bottleneck", "plain", 64),
-                    LayerSpec(21, f"{prefix}.{hname}.conv", "conv1x1", "plain", c_out),
+                    LayerSpec(19, f"{prefix}.bottleneck5.0", "bottleneck", 64),
+                    LayerSpec(20, f"{prefix}.bottleneck5.1", "bottleneck", 64),
+                    LayerSpec(21, f"{prefix}.{hname}.conv", "conv1x1", c_out),
                 ),
             )
         )
-    return ArchSpec(tuple(rows), tuple(heads), projection_ratio, shared_heads)
+    return ArchSpec(rows, tuple(heads), shared_heads)
 
 
-def plan_block(layer: LayerSpec, in_ch: int, projection_ratio: int) -> BlockPlan:
-    """Expand one table row into its conv slots and branch structure."""
-    out = layer.out_channels
-    nm = layer.name
-    if layer.kind == "initial":
+def plan_block(layer: LayerSpec, in_ch: int) -> BlockPlan:
+    """Expand one table row into its conv slots.  A "down", "up" or "bottleneck" row
+    gets a projection, main and expand chain, and an "up" row also the 1x1 skip conv of
+    its unpooled main branch; an "initial" or "conv1x1" row gets one conv."""
+    out, nm, kind = layer.out_channels, layer.name, layer.kind
+    if kind == "initial":
         slot = ConvSlot(f"{nm}.conv", "conv", in_ch, out - in_ch, (3, 3),
                         stride=(2, 2), padding=(1, 1), bn=False, act=False)
-        return BlockPlan(layer, in_ch, (slot,), pool="initial",
-                         post_act=True, post_bn=True)
-    if layer.kind == "conv1x1":
-        slot = ConvSlot(nm, "conv", in_ch, out, (1, 1), bn=False, act=False)
-        return BlockPlan(layer, in_ch, (slot,), post_act=False)
+        return BlockPlan(layer, (slot,))
+    if kind == "conv1x1":
+        return BlockPlan(layer, (ConvSlot(nm, "conv", in_ch, out, (1, 1), bn=False, act=False),))
 
-    mid = max(1, out // projection_ratio)
+    mid = max(1, out // PROJECTION_RATIO)
     d = layer.dilation
-    if layer.variant == "downsampling":
-        ext = (
-            ConvSlot(f"{nm}.proj", "conv", in_ch, mid, (2, 2), stride=(2, 2)),
-            ConvSlot(f"{nm}.main", "conv", mid, mid, (3, 3), padding=(1, 1)),
-            ConvSlot(f"{nm}.expand", "conv", mid, out, (1, 1), act=False),
-        )
-        return BlockPlan(layer, in_ch, ext, pool="down", zero_pad_to=out)
-    if layer.variant == "upsampling":
-        ext = (
-            ConvSlot(f"{nm}.proj", "conv", in_ch, mid, (1, 1)),
-            ConvSlot(f"{nm}.main", "tconv", mid, mid, (2, 2), stride=(2, 2)),
-            ConvSlot(f"{nm}.expand", "conv", mid, out, (1, 1), act=False),
-        )
-        skip = ConvSlot(f"{nm}.skip", "conv", in_ch, out, (1, 1), act=False)
-        return BlockPlan(layer, in_ch, ext, main_conv=skip, pool="up")
-    ext = (
-        ConvSlot(f"{nm}.proj", "conv", in_ch, mid, (1, 1)),
-        ConvSlot(f"{nm}.main", "conv", mid, mid, (3, 3), padding=(d, d), dilation=(d, d)),
-        ConvSlot(f"{nm}.expand", "conv", mid, out, (1, 1), act=False),
-    )
-    return BlockPlan(layer, in_ch, ext)
+    if kind == "down":
+        proj = ConvSlot(f"{nm}.proj", "conv", in_ch, mid, (2, 2), stride=(2, 2))
+        main = ConvSlot(f"{nm}.main", "conv", mid, mid, (3, 3), padding=(1, 1))
+    elif kind == "up":
+        proj = ConvSlot(f"{nm}.proj", "conv", in_ch, mid, (1, 1))
+        main = ConvSlot(f"{nm}.main", "tconv", mid, mid, (2, 2), stride=(2, 2))
+    elif kind == "bottleneck":
+        proj = ConvSlot(f"{nm}.proj", "conv", in_ch, mid, (1, 1))
+        main = ConvSlot(f"{nm}.main", "conv", mid, mid, (3, 3), padding=(d, d), dilation=(d, d))
+    else:
+        raise ValueError(f"row {layer.id} ({nm}): unknown block kind {kind!r}")
+    expand = ConvSlot(f"{nm}.expand", "conv", mid, out, (1, 1), act=False)
+    skip = ConvSlot(f"{nm}.skip", "conv", in_ch, out, (1, 1), act=False) if kind == "up" else None
+    return BlockPlan(layer, (proj, main, expand), skip)
 
 
 def walk(spec: ArchSpec, x, step) -> dict:
@@ -191,7 +178,7 @@ def walk(spec: ArchSpec, x, step) -> dict:
     """
     def chain(head, layers, x, ch):
         for layer in layers:
-            x = step(plan_block(layer, ch, spec.projection_ratio), head, x)
+            x = step(plan_block(layer, ch), head, x)
             ch = layer.out_channels
         return x, ch
 
@@ -232,13 +219,16 @@ def _read_block(plan: BlockPlan, in_hw) -> tuple[dict[str, tuple[int, ...]], int
         hw = conv(s, hw)
     if plan.main_conv is not None:
         conv(plan.main_conv, in_hw)
-    if plan.pool in ("down", "initial"):
-        flops += 3 * plan.in_ch * hw[0] * hw[1]
-    nm, out = plan.layer.name, plan.layer.out_channels
-    if plan.layer.kind == "bottleneck":
+    kind, nm, out = plan.layer.kind, plan.layer.name, plan.layer.out_channels
+    if kind == "conv1x1":
+        return slots, flops, hw
+    if kind in ("initial", "down"):
+        flops += 3 * plan.ext[0].in_ch * hw[0] * hw[1]  # the 2x2 max pool
+    if kind == "initial":
+        norm(nm, out, hw, True, False)  # of the concatenation
+    else:
         flops += out * hw[0] * hw[1]  # residual add
-    norm(nm, out, hw, plan.post_bn, False)
-    norm(f"{nm}.out", out, hw, False, plan.post_act)
+    norm(f"{nm}.out", out, hw, False, True)
     return slots, flops, hw
 
 
@@ -275,14 +265,6 @@ def count_params(spec: ArchSpec) -> ArchReport:
     rows = count_flops(spec, (3, 8, 8)).per_layer
     return ArchReport([replace(r, output_dims=None, flops=0) for r in rows],
                       sum(r.params for r in rows))
-
-
-def shape_trace(spec: ArchSpec, input_dims: tuple[int, int, int]) -> list[LayerReport]:
-    """Per-row output dims for a (3, H, W) input; H and W must be /8.
-
-    The rows are those of :func:`count_flops`, so they carry params and FLOPs too.
-    """
-    return count_flops(spec, input_dims).per_layer
 
 
 # --------------------------------------------------------------------------
@@ -397,22 +379,22 @@ def _run_slot(x, slot: ConvSlot, store, out=None, main=None, slope=None):
 def _run_block(x, plan: BlockPlan, store, pools, role, kept):
     """One row into the workspace buffer *role* (a head's last row: a new array), never
     into *x*; a pooling row's main branch into block2, and its indices only if *kept*."""
-    nm, n = plan.layer.name, len(x)
-    if plan.layer.kind == "conv1x1":
+    kind, nm, n = plan.layer.kind, plan.layer.name, len(x)
+    if kind == "conv1x1":
         return _run_slot(x, plan.ext[0], store)
     slope = store[f"{nm}.out.slope"]
     pooled = (n, x.shape[1], (x.shape[2] + 1) // 2, (x.shape[3] + 1) // 2)
-    if plan.pool == "initial":
+    if kind == "initial":
         y, c = T.scratch(role, (n, plan.layer.out_channels, *pooled[2:])), plan.ext[0].out_ch
         _run_slot(x, plan.ext[0], store, y[:, :c])
         T.maxpool2x2_with_indices(x, y[:, c:], indices=False)
         return T.batchnorm_add_prelu(y, [store[f"{nm}.bn.{p}"] for p in T.BN_PARTS], None, slope, y)
     main = x
-    if plan.pool == "down":
+    if kind == "down":
         main = T.scratch("block2", pooled)
         argmax = T.scratch(f"{nm}.argmax", pooled, np.int64) if nm in kept else None
         pools.append((T.maxpool2x2_with_indices(x, main, argmax, nm in kept)[1], x.shape[2:]))
-    elif plan.pool == "up":
+    elif kind == "up":
         idx, out_hw = pools.pop()
         skip = _run_slot(x, plan.main_conv, store, "ext1")  # free until the ext chain
         main = T.max_unpool2x2(skip, idx, out_hw, T.scratch("block2", (n, skip.shape[1], *out_hw)))
@@ -444,8 +426,9 @@ def forward(spec: ArchSpec, store: dict[str, np.ndarray], image: np.ndarray):
         raise ShapeError(f"image spatial dims {image.shape[2:]} not divisible by 8")
 
     stack, kept = [], set()  # the down blocks whose pool indices an up block pops
-    walk(spec, None, lambda plan, head, x: stack.append(plan.layer.name) if plan.pool == "down"
-         else kept.add(stack.pop()) if plan.pool == "up" else None)
+    walk(spec, None, lambda plan, head, x: stack.append(plan.layer.name)
+         if plan.layer.kind == "down" else kept.add(stack.pop()) if plan.layer.kind == "up"
+         else None)
 
     def run(frame):
         pools: list = []

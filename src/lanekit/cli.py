@@ -81,8 +81,8 @@ def _emit(obj: dict) -> None:
 
 
 def _load_map(path: str, channels: int) -> np.ndarray:
-    """Load an .aft map and squeeze it to (H, W) or (C, H, W)."""
-    arr = T.load_tensor(path)
+    """Load an .aft map of finite values and squeeze it to (H, W) or (C, H, W)."""
+    arr = _finite(T.load_tensor(path), path)
     ndim = 2 if channels == 1 else 3
     while arr.ndim > ndim and arr.shape[0] == 1:
         arr = arr[0]
@@ -130,9 +130,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    seg = _finite(_load_map(args.seg, 1), args.seg)
-    haf = _finite(_load_map(args.haf, 1), args.haf)
-    vaf = _finite(_load_map(args.vaf, 2), args.vaf)
+    seg = _load_map(args.seg, 1)
+    haf = _load_map(args.haf, 1)
+    vaf = _load_map(args.vaf, 2)
     if haf.shape != seg.shape or vaf.shape[1:] != seg.shape:
         raise FormatError(
             f"map resolutions differ: seg {seg.shape}, haf {haf.shape}, vaf {vaf.shape}"

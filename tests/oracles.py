@@ -3,8 +3,9 @@
 Everything here is deliberately written as plain nested loops over scalars,
 sharing no code with the library, so agreement between the two is evidence
 of correctness rather than tautology.  There are four exceptions.
-:func:`forward_ref` reads each row's conv slots from ``arch.plan_block`` (the
-layer table) but chains the rows and runs every kernel itself.
+:func:`forward_ref` reads each row's ``kind`` and conv slots from
+``arch.plan_block`` (the layer table) but chains the rows and runs every
+kernel itself.
 :func:`conv2d_bits_ref`, :func:`prelu_bits_ref`, :func:`sigmoid_ref` and
 :func:`maxpool2x2_bits_ref` are the library's earlier numpy kernels, kept as
 byte-exact references for the float32 kernels that replaced them: they define
@@ -411,22 +412,22 @@ def _slot_ref(x, slot, store):
 
 
 def _block_ref(x, plan, store, pools):
-    nm = plan.layer.name
-    if plan.pool == "initial":
+    nm, kind = plan.layer.name, plan.layer.kind
+    if kind == "initial":
         pooled, _ = maxpool2x2_ref(x)
         x = np.concatenate([_slot_ref(x, plan.ext[0], store), pooled], axis=1)
         return _prelu_ref(_bn_ref(x, store, nm), store[f"{nm}.out.slope"])
-    if plan.layer.kind == "conv1x1":
+    if kind == "conv1x1":
         return _slot_ref(x, plan.ext[0], store)
     ext = x
     for slot in plan.ext:
         ext = _slot_ref(ext, slot, store)
-    if plan.pool == "down":
+    if kind == "down":
         main, arg = maxpool2x2_ref(x)
         pools.append((arg, x.shape[2:]))
         n, c, h, w = main.shape
-        main = np.concatenate([main, np.zeros((n, plan.zero_pad_to - c, h, w))], axis=1)
-    elif plan.pool == "up":
+        main = np.concatenate([main, np.zeros((n, plan.layer.out_channels - c, h, w))], axis=1)
+    elif kind == "up":
         arg, out_hw = pools.pop()
         main = _unpool_ref(_slot_ref(x, plan.main_conv, store), arg, out_hw)
     else:
@@ -446,13 +447,13 @@ def forward_ref(spec, store, image):
     pools = []
     ch = 3
     for layer in spec.layers:
-        x = _block_ref(x, plan_block(layer, ch, spec.projection_ratio), store, pools)
+        x = _block_ref(x, plan_block(layer, ch), store, pools)
         ch = layer.out_channels
     outputs = {}
     for head in spec.heads:
         y, head_ch = x, ch
         for layer in head.layers:
-            y = _block_ref(y, plan_block(layer, head_ch, spec.projection_ratio), store, pools)
+            y = _block_ref(y, plan_block(layer, head_ch), store, pools)
             head_ch = layer.out_channels
         outputs[head.name] = y
     return outputs

@@ -107,7 +107,7 @@ def test_criterion_3_architecture_accounting():
         + ["80x44x128"] * 11
         + ["160x88x64"] * 3
     )
-    rows = arch.shape_trace(spec, (3, 352, 640))
+    rows = rep.per_layer
     got_trunk = [f"{w}x{h}x{c}" for (c, h, w) in
                  (r.output_dims for r in rows if r.head is None)]
     assert got_trunk == expected

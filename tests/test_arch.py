@@ -33,10 +33,13 @@ def test_build_enet21_row_structure():
     assert [l.id for l in spec.layers] == list(range(1, 19))
     by_name = {l.name: l for l in spec.layers}
     assert by_name["bottleneck2.0"].out_channels == 128
-    assert by_name["bottleneck2.0"].variant == "downsampling"
     # stage 3 starts at 3.1: no downsampling bottleneck at its head
     assert spec.layers[10].name == "bottleneck3.1"
-    assert spec.layers[10].variant == "plain"
+    assert [l.kind for l in spec.layers] == (
+        ["initial", "down", "bottleneck", "bottleneck", "down"] + ["bottleneck"] * 10
+        + ["up", "bottleneck", "bottleneck"])
+    for head in spec.heads:
+        assert [l.kind for l in head.layers] == ["bottleneck", "bottleneck", "conv1x1"]
     dilations = [l.dilation for l in spec.layers]
     assert dilations == [1, 1, 2, 4, 1, 1, 2, 4, 8, 16, 1, 2, 4, 8, 16, 1, 1, 1]
     assert set(dilations) <= {1, 2, 4, 8, 16}
@@ -44,7 +47,7 @@ def test_build_enet21_row_structure():
 
 def test_shape_trace_full_size_matches_layer_table():
     spec = arch.build_enet21()
-    rows = arch.shape_trace(spec, (3, 352, 640))
+    rows = arch.count_flops(spec, (3, 352, 640)).per_layer
     trunk = [r for r in rows if r.head is None]
     assert [r.output_dims for r in trunk] == FULL_SIZE_TRACE[:18]
     for head in ("seg", "haf", "vaf"):
@@ -57,12 +60,12 @@ def test_shape_trace_full_size_matches_layer_table():
 
 def test_shape_trace_rejects_indivisible_input():
     with pytest.raises(ShapeError):
-        arch.shape_trace(arch.build_enet21(), (3, 350, 640))
+        arch.count_flops(arch.build_enet21(), (3, 350, 640))
 
 
 def test_shape_trace_toy_input_consistent_with_forward():
     spec = arch.build_enet21()
-    rows = arch.shape_trace(spec, (3, 8, 8))
+    rows = arch.count_flops(spec, (3, 8, 8)).per_layer
     trunk = [r.output_dims for r in rows if r.head is None]
     # halving chain 8 -> 4 -> 2 -> 1, then one doubling back to 2
     assert trunk[0] == (16, 4, 4)
@@ -93,18 +96,6 @@ def test_count_params_shared_heads_lower():
     shared = arch.count_params(arch.build_enet21(shared_heads=True)).total_params
     assert shared < full
     assert abs(shared - 250_000) <= 0.15 * 250_000
-
-
-def test_wider_projection_ratio_strictly_cheaper():
-    for ratio_a, ratio_b in [(4, 8), (2, 4), (8, 16)]:
-        a = arch.count_params(arch.build_enet21(projection_ratio=ratio_a))
-        b = arch.count_params(arch.build_enet21(projection_ratio=ratio_b))
-        rows_a = {(r.id, r.name): r.params for r in a.per_layer}
-        rows_b = {(r.id, r.name): r.params for r in b.per_layer}
-        for key, pa in rows_a.items():
-            if "bottleneck" in key[1]:
-                assert rows_b[key] < pa
-        assert b.total_params < a.total_params
 
 
 def test_count_flops_head_conv_is_pure_mac_count():
@@ -142,12 +133,21 @@ def test_shape_formulas_hold_for_every_layer_configuration():
 
 
 def test_downsampling_plan_pools_then_zero_pads():
+    # the zero-padded add itself is pinned by forward_ref, which pads the pooled
+    # input to the row's out_channels
     spec = arch.build_enet21()
     layer = spec.layers[1]  # bottleneck1.0
-    plan = arch.plan_block(layer, 16, spec.projection_ratio)
-    assert plan.pool == "down"
-    assert plan.zero_pad_to == 64
+    assert layer.kind == "down" and layer.out_channels == 64
+    plan = arch.plan_block(layer, 16)
     assert plan.ext[0].kernel == (2, 2) and plan.ext[0].stride == (2, 2)
+    assert plan.ext[-1].out_ch == 64 and plan.main_conv is None
+
+
+@pytest.mark.parametrize("kind", ["downsampling", "dilated", ""])
+def test_plan_block_rejects_an_unknown_kind(kind):
+    layer = arch.LayerSpec(2, "bottleneck1.0", kind, 64)
+    with pytest.raises(ValueError, match=f"unknown block kind {kind!r}"):
+        arch.plan_block(layer, 16)
 
 
 def test_no_parameter_slot_mentions_bias():
@@ -396,12 +396,8 @@ ARCH_JSON_DIGESTS = {
     True: "eeba201494ee42dc02c9deaef0a10499cfe850b76f1424c58533f807b9dce798",
 }
 SLOT_DIGESTS = {  # (projection ratio, shared heads)
-    (2, False): "45bc281c163be493bc1b632e7f12601fa84cc49bb8667a8b3b7099a12eec79af",
-    (2, True): "4c21f4c8f5fc9e7429992c766016d71f1f48a72941f7935714743142cb98e48b",
     (4, False): "bb30eadaaa0246d8159104e46062fc5f96d7497297edd49f28966214bb751b7d",
     (4, True): "b0f37910eda761ce2d5cc2891b667cda917a48770ddcea42f77f16648d46e0f4",
-    (8, False): "61e4537b7518a9cec636857c0ca7d6279ea997bbd72c09e5fa9a8c32e564195b",
-    (8, True): "d5441bcb14949e261ad2239ce3a07d88c3fc17d83338709a93d21cb4eac83bda",
 }
 RANDOM_WEIGHTS_SEED5_DIGESTS = {
     False: "b7173d21bf6417f3fbba7cfed629ff5b47c53a5480ac39d61cd90eb4253669c0",
@@ -419,7 +415,8 @@ def test_arch_json_rows_pinned(capsys, shared_heads):
 
 @pytest.mark.parametrize("ratio, shared_heads", SLOT_DIGESTS)
 def test_weight_slot_order_pinned(ratio, shared_heads):
-    spec = arch.build_enet21(projection_ratio=ratio, shared_heads=shared_heads)
+    assert arch.PROJECTION_RATIO == ratio
+    spec = arch.build_enet21(shared_heads=shared_heads)
     digest = sha256(repr(list(arch.weight_slots(spec).items())))
     assert digest == SLOT_DIGESTS[ratio, shared_heads]
 

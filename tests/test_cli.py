@@ -684,15 +684,44 @@ def test_synth_curvature_must_be_finite(tmp_path, capsys, curvature):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_loss_with_a_nan_result_exits_2_printing_no_json(tmp_path, capsys):
-    # a NaN field gives a NaN loss, which JSON cannot hold
+    # every map is finite, but logits that miss every lane pixel under the largest
+    # finite weight overflow the cross-entropy to inf, which JSON cannot hold
     scene = synth_scene(tmp_path, seed=10, lanes=3)
-    pred = prediction_dir(tmp_path, scene, haf=np.full((88, 160), np.nan, np.float32))
+    pred = prediction_dir(tmp_path, scene)
+    T.save_tensor(os.path.join(pred, "seg_logits.aft"), np.full((88, 160), -60, np.float32))
+    capsys.readouterr()
+    assert run(["loss", "--pred", pred, "--gt", scene, "--weight", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not JSON compliant" in captured.err
+
+
+@pytest.mark.parametrize("side, name", [
+    ("pred", "seg_logits.aft"), ("pred", "seg.aft"), ("pred", "haf.aft"), ("pred", "vaf.aft"),
+    ("gt", "haf.aft"), ("gt", "vaf.aft"), ("gt", "mask.aft"),
+])
+def test_loss_non_finite_map_exits_2_naming_it(tmp_path, capsys, side, name):
+    # a NaN at a background pixel: the field loss reads only foreground pixels and
+    # `mask > 0` is False for NaN, so only the load check sees every one of them
+    scene = synth_scene(tmp_path, seed=10, lanes=3)
+    pred = prediction_dir(tmp_path, scene)
+    if name == "seg.aft":
+        logits_path = os.path.join(pred, "seg_logits.aft")
+        T.save_tensor(os.path.join(pred, name), T.sigmoid(T.load_tensor(logits_path)))
+        os.remove(logits_path)
+    path = os.path.join(pred if side == "pred" else scene, name)
+    mask = T.load_tensor(os.path.join(scene, "mask.aft"))
+    r, c = np.argwhere(mask.reshape(mask.shape[-2:]) == 0)[0]
+    arr = T.load_tensor(path)
+    arr[..., r, c] = np.nan
+    T.save_tensor(path, arr)
     capsys.readouterr()
     assert run(["loss", "--pred", pred, "--gt", scene]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "not JSON compliant" in captured.err
+    assert f"{path}: holds NaN or inf" in captured.err
 
 
 def test_decode_with_an_infinite_config_exits_2_writing_nothing(tmp_path, capsys):
