@@ -96,7 +96,6 @@ class DecodedLanes:
 class MaskRuns(NamedTuple):
     """One entry per (lane, row) run of a label mask, in ascending key order."""
 
-    lane_count: int
     key: np.ndarray        # lane * H + row
     count: np.ndarray      # pixels in the run
     col_min: np.ndarray
@@ -123,7 +122,7 @@ def validate_mask(mask: np.ndarray) -> MaskRuns:
     keys, cols = keys[order], cols[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     ends = np.flatnonzero(np.diff(keys, append=-1)) + 1
-    runs = MaskRuns(len(ids), keys[starts], ends - starts, cols[starts], cols[ends - 1])
+    runs = MaskRuns(keys[starts], ends - starts, cols[starts], cols[ends - 1])
     bad = np.flatnonzero(runs.col_max - runs.col_min + 1 != runs.count)
     if len(bad):
         lane, row = divmod(runs.key[bad[0]], h)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class LayerReport:
     id: int
     name: str
     head: str | None
-    output_dims: tuple[int, int, int] | None   # (C, H, W)
+    output_dims: tuple[int, int, int]   # (C, H, W)
     params: int
     flops: int
 
@@ -256,17 +256,6 @@ def count_flops(spec: ArchSpec, input_dims: tuple[int, int, int]) -> ArchReport:
     return report
 
 
-def count_params(spec: ArchSpec) -> ArchReport:
-    """Parameter ledger: conv kernels plus batchnorm scale/shift and PReLU slopes.
-
-    Params do not depend on the input size, so these are the rows of
-    :func:`count_flops` at any /8 size, without their dims and FLOPs.
-    """
-    rows = count_flops(spec, (3, 8, 8)).per_layer
-    return ArchReport([replace(r, output_dims=None, flops=0) for r in rows],
-                      sum(r.params for r in rows))
-
-
 # --------------------------------------------------------------------------
 # Weight store
 # --------------------------------------------------------------------------
@@ -284,19 +273,17 @@ def weight_slots(spec: ArchSpec) -> dict[str, tuple[int, ...]]:
     return slots
 
 
-def random_weights(spec: ArchSpec, seed: int = 0, scale: float = 0.1) -> dict[str, np.ndarray]:
+def random_weights(spec: ArchSpec, seed: int = 0) -> dict[str, np.ndarray]:
     """Seeded uniform-noise weights for testing the forward path."""
     rng = np.random.default_rng(seed)
     store: dict[str, np.ndarray] = {}
     for name, dims in weight_slots(spec).items():
-        if name.endswith(".kernel"):
-            store[name] = rng.uniform(-scale, scale, dims).astype(np.float32)
-        elif name.endswith(".gamma") or name.endswith(".var"):
+        if name.endswith((".gamma", ".var")):
             store[name] = rng.uniform(0.5, 1.5, dims).astype(np.float32)
         elif name.endswith(".slope"):
             store[name] = np.full(dims, T.PRELU_DEFAULT_SLOPE, dtype=np.float32)
-        else:  # beta, mean
-            store[name] = rng.uniform(-scale, scale, dims).astype(np.float32)
+        else:  # kernel, beta, mean
+            store[name] = rng.uniform(-0.1, 0.1, dims).astype(np.float32)
     return store
 
 

@@ -133,10 +133,6 @@ def cmd_decode(args) -> int:
     seg = _load_map(args.seg, 1)
     haf = _load_map(args.haf, 1)
     vaf = _load_map(args.vaf, 2)
-    if haf.shape != seg.shape or vaf.shape[1:] != seg.shape:
-        raise FormatError(
-            f"map resolutions differ: seg {seg.shape}, haf {haf.shape}, vaf {vaf.shape}"
-        )
     cfg = _decode_config(args)
     result = decode(seg, AffinityPair(haf, vaf), cfg)
     payload = json.loads(result.to_json())
@@ -291,11 +287,7 @@ def cmd_infer(args) -> int:
         store = arch.random_weights(spec, seed=args.seed)
     else:
         raise FormatError("either --weights or --random-init is required")
-    if not os.path.exists(args.image):
-        raise FormatError(f"image file not found: {args.image}")
     image = _finite(T.load_tensor(args.image), args.image)
-    if image.ndim == 3:
-        image = image[None]
     if image.ndim == 4 and image.shape[0] != 1:
         raise FormatError(
             f"{args.image}: expected one (3,H,W) image, got a batch of {image.shape[0]}")
@@ -340,11 +332,13 @@ def cmd_loss(args) -> int:
     gt = AffinityPair(_load_map(os.path.join(args.gt, "haf.aft"), 1),
                       _load_map(os.path.join(args.gt, "vaf.aft"), 2))
     target = (mask > 0).astype(np.float64)
-    breakdown = total_loss(seg_logits, pred_haf, pred_vaf, target, gt, w=args.weight)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = total_loss(seg_logits, pred_haf, pred_vaf, target, gt, w=args.weight).__dict__
+    bad = [name for name, value in terms.items() if not np.isfinite(value)]
+    if bad:
+        raise FormatError(f"non-finite loss term(s) {', '.join(bad)} with --weight {args.weight}")
     _emit({"version": __version__,
-           "config": {"pred": args.pred, "gt": args.gt, "weight": args.weight},
-           "wbce": breakdown.wbce, "iou": breakdown.iou,
-           "af": breakdown.af, "total": breakdown.total})
+           "config": {"pred": args.pred, "gt": args.gt, "weight": args.weight}, **terms})
     return EXIT_OK
 
 

@@ -75,20 +75,16 @@ class LaneAnnotation:
                     raise FormatError(f"lane {i} x={x} outside [-2] U [0, {ORIG_W - 1}]")
 
 
-def parse_tusimple(path: str, error_sink: list[str] | None = None) -> list[LaneAnnotation]:
+def parse_tusimple(path: str, error_sink: list[str]) -> list[LaneAnnotation]:
     """Parse a JSON-lines label file.
 
-    Malformed lines are reported (with 1-based line numbers) into error_sink
-    or the module logger, and parsing continues.
+    Malformed lines are reported (with 1-based line numbers) into error_sink,
+    and parsing continues.
     """
     annotations: list[LaneAnnotation] = []
 
     def report(lineno: int, msg: str):
-        text = f"line {lineno}: {msg}"
-        if error_sink is not None:
-            error_sink.append(text)
-        else:
-            log.warning("%s: %s", path, text)
+        error_sink.append(f"line {lineno}: {msg}")
 
     # undecodable bytes become lone surrogates, so only their lines fail to re-encode
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
@@ -121,19 +117,16 @@ def parse_tusimple(path: str, error_sink: list[str] | None = None) -> list[LaneA
     return annotations
 
 
-def serialize_annotation(ann: LaneAnnotation, run_time_ms: int | None = None) -> str:
-    """One JSON line in the benchmark schema (optionally with run_time)."""
+def serialize_annotation(ann: LaneAnnotation) -> str:
+    """One JSON line in the benchmark schema."""
     def fmt(x: float):
         return int(x) if float(x).is_integer() else x
 
-    obj = {
+    return json.dumps({
         "lanes": [[fmt(x) for x in lane] for lane in ann.lanes],
         "h_samples": list(ann.h_samples),
         "raw_file": ann.raw_file,
-    }
-    if run_time_ms is not None:
-        obj["run_time"] = int(run_time_ms)
-    return json.dumps(obj)
+    })
 
 
 def rasterize(ann: LaneAnnotation, out_res: tuple[int, int] = (MAP_H, MAP_W),

@@ -34,12 +34,12 @@ class SceneSpec:
             raise ValueError(f"lane_count must be in 1..6, got {self.lane_count}")
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
-        if self.spacing < 3 * self.width:
-            raise ValueError(
-                f"spacing {self.spacing} too small: must be >= 3*width = {3 * self.width}"
-            )
-        if self.curvature[0] > self.curvature[1]:
-            raise ValueError(f"bad curvature range {self.curvature}")
+        # NaN fails every comparison, so it breaks both rules
+        if not 3 * self.width <= self.spacing <= MAP_W:
+            raise ValueError(f"spacing must be in [3*width, {MAP_W}] = "
+                             f"[{3 * self.width}, {MAP_W}], got {self.spacing}")
+        if not -1 <= self.curvature[0] <= self.curvature[1] <= 1:
+            raise ValueError(f"curvature must be (low, high) in [-1, 1], got {self.curvature}")
 
 
 def _sample_geometry(spec: SceneSpec, rng: np.random.Generator):
@@ -122,14 +122,14 @@ def perturb_fields(af: AffinityPair, sigma: float, seed: int = 0) -> AffinityPai
     return AffinityPair(haf, vaf)
 
 
-def random_scene_spec(seed: int, merge_split_rate: float = 0.2) -> SceneSpec:
+def random_scene_spec(seed: int) -> SceneSpec:
     """A varied scene spec (lane count, curvature, spacing) from one seed."""
     rng = np.random.default_rng(seed)
     lane_count = int(rng.integers(1, 7))
     span = float(rng.uniform(0.4, 1.0)) * 2.2e-4
     sp_hi = min(22.0, 116.0 / max(lane_count - 1, 1))
     spacing = float(rng.uniform(10.0, max(10.5, sp_hi)))
-    merge = lane_count >= 2 and rng.random() < merge_split_rate
+    merge = lane_count >= 2 and rng.random() < 0.2
     return SceneSpec(lane_count=lane_count, curvature=(-span, span),
                      spacing=spacing, merge_split=merge, seed=seed)
 

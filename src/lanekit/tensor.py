@@ -86,18 +86,6 @@ class ConvParams:
             )
 
 
-@dataclass(frozen=True)
-class PoolIndices:
-    """Argmax bookkeeping for 2x2 max pooling.
-
-    dims mirrors the pooled output; argmax stores, per pooled element, the
-    flat index (h * W + w) of the winning cell in the pre-pool spatial plane.
-    """
-
-    dims: tuple[int, ...]
-    argmax: np.ndarray
-
-
 def conv_output_hw(hw, kernel, stride, dilation, padding) -> tuple[int, int]:
     """Spatial output size of a cross-correlation."""
     h, w = hw
@@ -195,8 +183,9 @@ def transposed_conv2d(x: np.ndarray, p: ConvParams, out=None) -> np.ndarray:
 
 
 def maxpool2x2_with_indices(x: np.ndarray, out=None, argmax=None, indices=True) -> tuple:
-    """2x2/stride-2 max pooling, recording per-window argmax positions, into ``out``
-    and the int64 ``argmax`` if given; with ``indices=False`` it returns None for them.
+    """2x2/stride-2 max pooling into ``out`` if given; returns (values, argmax).  argmax
+    holds, per pooled element, the int64 flat position (h * W + w) of its winning cell in
+    the pre-pool plane, written into ``argmax`` if given; with ``indices=False`` it is None.
 
     Odd trailing rows/columns are treated as padded with -inf, so pooling is
     well defined for any spatial size.  Ties pick the first cell in row-major
@@ -230,28 +219,25 @@ def maxpool2x2_with_indices(x: np.ndarray, out=None, argmax=None, indices=True) 
     # mode="clip" writes straight into argmax, where "raise" would buffer
     flat = np.take(np.array([0, 1, w, w + 1], dtype=np.int64), loc, out=argmax, mode="clip")
     flat += 2 * w * np.arange(h2, dtype=np.int64)[:, None] + 2 * np.arange(w2, dtype=np.int64)
-    return top, PoolIndices(dims=(n, c, h2, w2), argmax=flat)
+    return top, flat
 
 
-def max_unpool2x2(x: np.ndarray, idx: PoolIndices, out_hw, out=None) -> np.ndarray:
-    """Scatter pooled values to their argmax positions, zeros elsewhere, into a
+def max_unpool2x2(x: np.ndarray, argmax: np.ndarray, out_hw, out=None) -> np.ndarray:
+    """Scatter pooled values to their argmax flat positions, zeros elsewhere, into a
     C-contiguous ``out`` if given."""
     x = as_f32(x)
     _require_nchw(x)
-    if tuple(idx.dims) != tuple(x.shape):
-        raise ShapeError(f"indices dims {tuple(idx.dims)} do not match input {tuple(x.shape)}")
-    n, c, h2, w2 = x.shape
+    if argmax.shape != x.shape:
+        raise ShapeError(f"argmax {tuple(argmax.shape)} does not match input {tuple(x.shape)}")
+    n, c = x.shape[:2]
     oh, ow = int(out_hw[0]), int(out_hw[1])
-    flat = idx.argmax
-    if flat.shape != x.shape:
-        raise IntegrityError(f"argmax shape {flat.shape} does not match dims {idx.dims}")
-    if flat.min() < 0 or flat.max() >= oh * ow:
+    if argmax.min() < 0 or argmax.max() >= oh * ow:
         raise IntegrityError(
             f"pooling indices address cells outside the {oh}x{ow} output plane"
         )
     out = np.empty((n, c, oh, ow), dtype=np.float32) if out is None else out
     out.fill(0)
-    np.put_along_axis(out.reshape(n, c, -1), flat.reshape(n, c, -1), x.reshape(n, c, -1), axis=-1)
+    np.put_along_axis(out.reshape(n, c, -1), argmax.reshape(n, c, -1), x.reshape(n, c, -1), -1)
     return out
 
 

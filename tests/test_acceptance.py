@@ -46,7 +46,7 @@ def test_criterion_1_roundtrip_identity_500_scenes():
     lane_count_errors = []
     merge_count = 0
     for i in range(500):
-        spec = synth.random_scene_spec(i, merge_split_rate=0.2)
+        spec = synth.random_scene_spec(i)
         merge_count += int(spec.merge_split)
         agreement, n_gt, n_dec, n_fg = synth.roundtrip_scene(spec, cfg)
         matched_px += int(round(agreement * n_fg))
@@ -157,7 +157,7 @@ def test_criterion_4_kernel_oracles():
             worst = max(worst, float(np.abs(got - ref).max()))
         pooled, idx = T.maxpool2x2_with_indices(x)
         ref_pool, ref_idx = maxpool2x2_ref(x)
-        assert (pooled == ref_pool).all() and (idx.argmax == ref_idx).all()
+        assert (pooled == ref_pool).all() and (idx == ref_idx).all()
         restored = T.max_unpool2x2(pooled, idx, (h, w))
         assert (np.sort(restored[restored != 0]) == np.sort(pooled.ravel())).all()
     assert worst <= 1e-5, f"max abs kernel error {worst}"
@@ -317,11 +317,12 @@ def test_criterion_8_external_scoring_path(tmp_path, capsys):
         tuple(DecodedLane(l["id"], tuple((x, int(y)) for x, y in l["points"]))
               for l in payload["lanes"]),
         np.zeros((88, 160), dtype=np.int32))
-    gt = D.parse_tusimple(os.path.join(scene, "label.json"))[0]
+    gt = D.parse_tusimple(os.path.join(scene, "label.json"), [])[0]
     pred = D.lanes_to_annotation(decoded, gt.h_samples, raw_file=gt.raw_file)
     pred_path = str(tmp_path / "pred.json")
     with open(pred_path, "w") as f:
-        f.write(D.serialize_annotation(pred, run_time_ms=0) + "\n")
+        # a benchmark prediction line carries run_time, which eval reads past
+        f.write(json.dumps({**json.loads(D.serialize_annotation(pred)), "run_time": 0}) + "\n")
     capsys.readouterr()
     assert cli.main(["eval", "--pred", pred_path,
                      "--gt", os.path.join(scene, "label.json")]) == 0

@@ -118,12 +118,11 @@ def test_validate_mask_run_table():
     mask[3:, 1:4] = 1
     mask[4, 6] = 2
     runs = af.validate_mask(mask)
-    assert runs.lane_count == 2
     assert runs.key.tolist() == [6 + 3, 6 + 4, 6 + 5, 2 * 6 + 4]   # lane * H + row
     assert runs.count.tolist() == [3, 3, 3, 1]
     assert runs.col_min.tolist() == [1, 1, 1, 6]
     assert runs.col_max.tolist() == [3, 3, 3, 6]
-    assert af.validate_mask(np.zeros((3, 3))).lane_count == 0
+    assert af.validate_mask(np.zeros((3, 3))).key.size == 0
 
 
 def test_encode_rejects_non_contiguous_ids():

@@ -86,14 +86,14 @@ def test_count_params_initial_conv_kernel():
 
 
 def test_count_params_near_quarter_million():
-    report = arch.count_params(arch.build_enet21())
+    report = arch.count_flops(arch.build_enet21(), (3, 8, 8))
     assert abs(report.total_params - 250_000) <= 0.15 * 250_000
     assert report.total_params == sum(r.params for r in report.per_layer)
 
 
 def test_count_params_shared_heads_lower():
-    full = arch.count_params(arch.build_enet21()).total_params
-    shared = arch.count_params(arch.build_enet21(shared_heads=True)).total_params
+    full = arch.count_flops(arch.build_enet21(), (3, 8, 8)).total_params
+    shared = arch.count_flops(arch.build_enet21(shared_heads=True), (3, 8, 8)).total_params
     assert shared < full
     assert abs(shared - 250_000) <= 0.15 * 250_000
 
@@ -380,7 +380,7 @@ def test_ledger_exact_at_full_size(shared_heads, params, flops, slots):
     report = arch.count_flops(spec, (3, 352, 640))
     assert report.total_params == params
     assert report.total_flops == flops
-    assert arch.count_params(spec).total_params == params
+    assert arch.count_flops(spec, (3, 8, 8)).total_params == params  # whatever the input size
     assert len(arch.weight_slots(spec)) == slots
 
 

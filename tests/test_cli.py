@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ def test_synth_writes_scene_directory(tmp_path):
     scene = synth_scene(tmp_path)
     for name in ("mask.aft", "haf.aft", "vaf.aft", "label.json", "manifest.json"):
         assert os.path.exists(os.path.join(scene, name))
-    anns = D.parse_tusimple(os.path.join(scene, "label.json"))
+    anns = D.parse_tusimple(os.path.join(scene, "label.json"), [])
     assert len(anns) == 1 and len(anns[0].lanes) == 3
 
 
@@ -285,14 +286,33 @@ def test_decode_into_missing_directory_names_the_requested_path(tmp_path, capsys
     assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
 
 
-def test_decode_resolution_mismatch_exits_2(tmp_path):
+def test_decode_resolution_mismatch_exits_2(tmp_path, capsys):
     scene = synth_scene(tmp_path, seed=9, lanes=2)
     small = os.path.join(scene, "small.aft")
     T.save_tensor(small, np.zeros((44, 80), dtype=np.float32))
+    out = tmp_path / "x.json"
+    capsys.readouterr()
     assert run(["decode", "--seg", small,
                 "--haf", os.path.join(scene, "haf.aft"),
                 "--vaf", os.path.join(scene, "vaf.aft"),
-                "--out", str(tmp_path / "x.json")]) == 2
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "(44, 80)" in err and "(88, 160)" in err
+    assert not out.exists()
+
+
+def test_decode_field_mismatch_exits_2(tmp_path, capsys):
+    scene = synth_scene(tmp_path, seed=9, lanes=2)
+    small = os.path.join(scene, "small.aft")
+    T.save_tensor(small, np.zeros((2, 44, 80), dtype=np.float32))
+    out = tmp_path / "x.json"
+    capsys.readouterr()
+    assert run(["decode", "--seg", os.path.join(scene, "mask.aft"),
+                "--haf", os.path.join(scene, "haf.aft"),
+                "--vaf", small, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "haf (88, 160)" in err and "vaf (2, 44, 80)" in err
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- eval
@@ -529,9 +549,11 @@ def test_infer_decode_takes_every_decode_flag(tmp_path):
     assert len(inferred["lanes"]) == 3   # the default settings keep 1
 
 
-def test_infer_missing_image_exits_2(tmp_path):
-    assert run(["infer", "--random-init", "--image", str(tmp_path / "no.aft"),
-                "--out", str(tmp_path / "o")]) == 2
+def test_infer_missing_image_exits_2(tmp_path, capsys):
+    image, out = str(tmp_path / "no.aft"), tmp_path / "o"
+    assert run(["infer", "--random-init", "--image", image, "--out", str(out)]) == 2
+    assert repr(image) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_infer_rejects_batched_image(tmp_path, capsys):
@@ -684,18 +706,38 @@ def test_synth_curvature_must_be_finite(tmp_path, capsys, curvature):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_loss_with_a_nan_result_exits_2_printing_no_json(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value", [
+    ("--spacing", "nan"), ("--spacing", "inf"), ("--spacing", "1e308"), ("--curvature", "1e308"),
+])
+def test_synth_out_of_range_float_exits_2_writing_nothing(tmp_path, capsys, flag, value):
+    # numpy once raised OverflowError from the geometry sampler for each of these
+    out = tmp_path / "scene"
+    assert run(["synth", "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    rule = ("spacing must be in [3*width, 160]" if flag == "--spacing"
+            else "curvature must be (low, high) in [-1, 1]")
+    assert rule in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_synth_spacing_at_the_map_width_is_accepted(tmp_path):
+    assert run(["synth", "--out", str(tmp_path / "s"), "--spacing", "160", "--lanes", "1"]) == 0
+
+
+def test_loss_overflow_exits_2_naming_the_term_and_weight(tmp_path, capsys):
     # every map is finite, but logits that miss every lane pixel under the largest
-    # finite weight overflow the cross-entropy to inf, which JSON cannot hold
+    # finite weight overflow the cross-entropy, and so the total, to inf
     scene = synth_scene(tmp_path, seed=10, lanes=3)
     pred = prediction_dir(tmp_path, scene)
     T.save_tensor(os.path.join(pred, "seg_logits.aft"), np.full((88, 160), -60, np.float32))
     capsys.readouterr()
-    assert run(["loss", "--pred", pred, "--gt", scene, "--weight", "1e308"]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would fail the run
+        assert run(["loss", "--pred", pred, "--gt", scene, "--weight", "1e308"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "not JSON compliant" in captured.err
+    assert "non-finite loss term(s) wbce, total with --weight 1e+308" in captured.err
+    assert "RuntimeWarning" not in captured.err
 
 
 @pytest.mark.parametrize("side, name", [

@@ -189,7 +189,7 @@ def test_maxpool_bytes_equal_reference(x):
     out, idx = T.maxpool2x2_with_indices(x)
     ref_out, ref_arg = maxpool2x2_bits_ref(x)
     assert same_bits(out, ref_out)
-    assert same_bits(idx.argmax, ref_arg) and idx.argmax.dtype == np.int64
+    assert same_bits(idx, ref_arg) and idx.dtype == np.int64
 
 
 @settings(max_examples=200, deadline=None)
@@ -260,8 +260,7 @@ def _bits_ref_maxpool(x, out=None, argmax=None, indices=True):
     top, arg = maxpool2x2_bits_ref(x)
     if out is not None:
         out[...] = top
-    return (top if out is None else out), (T.PoolIndices(dims=top.shape, argmax=arg)
-                                           if indices else None)
+    return (top if out is None else out), (arg if indices else None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -273,8 +272,8 @@ def test_values_only_maxpool_bytes_equal_maxpool(x):
     assert none is None and same_bits(top, want)
     out, argmax = np.empty_like(want), np.empty(want.shape, np.int64)
     top, got = T.maxpool2x2_with_indices(x, out, argmax)
-    assert top is out and got.argmax is argmax
-    assert same_bits(out, want) and same_bits(argmax, idx.argmax)
+    assert top is out and got is argmax
+    assert same_bits(out, want) and same_bits(argmax, idx)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

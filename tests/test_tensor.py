@@ -102,13 +102,13 @@ def test_maxpool_trivial_window():
     x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32).reshape(1, 1, 2, 2)
     out, idx = T.maxpool2x2_with_indices(x)
     assert out[0, 0, 0, 0] == 4.0
-    assert idx.argmax[0, 0, 0, 0] == 1 * 2 + 1
+    assert idx[0, 0, 0, 0] == 1 * 2 + 1
 
 
 def test_maxpool_tie_breaks_to_top_left():
     x = np.full((1, 1, 2, 2), 7.0, dtype=np.float32)
     _, idx = T.maxpool2x2_with_indices(x)
-    assert idx.argmax[0, 0, 0, 0] == 0
+    assert idx[0, 0, 0, 0] == 0
 
 
 def test_maxpool_matches_window_scan():
@@ -116,7 +116,7 @@ def test_maxpool_matches_window_scan():
     out, idx = T.maxpool2x2_with_indices(x)
     ref_out, ref_idx = maxpool2x2_ref(x)
     assert (out == ref_out).all()
-    assert (idx.argmax == ref_idx).all()
+    assert (idx == ref_idx).all()
 
 
 def test_maxpool_odd_dims_pad_with_neg_inf():
@@ -124,7 +124,7 @@ def test_maxpool_odd_dims_pad_with_neg_inf():
     out, idx = T.maxpool2x2_with_indices(x)
     ref_out, ref_idx = maxpool2x2_ref(x)
     assert out.shape == (1, 1, 3, 2)
-    assert (out == ref_out).all() and (idx.argmax == ref_idx).all()
+    assert (out == ref_out).all() and (idx == ref_idx).all()
 
 
 def test_unpool_scatters_single_value():
@@ -149,9 +149,15 @@ def test_unpool_round_trip_conservation():
 
 def test_unpool_rejects_out_of_range_indices():
     x = np.ones((1, 1, 1, 1), dtype=np.float32)
-    idx = T.PoolIndices(dims=(1, 1, 1, 1), argmax=np.array([[[[99]]]], dtype=np.int64))
     with pytest.raises(IntegrityError):
-        T.max_unpool2x2(x, idx, (2, 2))
+        T.max_unpool2x2(x, np.array([[[[99]]]], dtype=np.int64), (2, 2))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 2, 1), (1, 2, 2, 2), (1, 1, 2, 2, 1)])
+def test_unpool_rejects_indices_of_another_shape(shape):
+    x = np.ones((1, 1, 2, 2), dtype=np.float32)
+    with pytest.raises(ShapeError, match=r"argmax \(.*\) does not match input \(1, 1, 2, 2\)"):
+        T.max_unpool2x2(x, np.zeros(shape, dtype=np.int64), (4, 4))
 
 
 def test_unpool_indices_stay_inside_their_window():
@@ -160,7 +166,7 @@ def test_unpool_indices_stay_inside_their_window():
     for i in range(4):
         for j in range(4):
             for c in range(2):
-                flat = int(idx.argmax[0, c, i, j])
+                flat = int(idx[0, c, i, j])
                 y, xx = flat // 8, flat % 8
                 assert 2 * i <= y < 2 * i + 2 and 2 * j <= xx < 2 * j + 2
 
