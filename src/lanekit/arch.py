@@ -398,7 +398,7 @@ def forward(spec: ArchSpec, store: dict[str, np.ndarray], image: np.ndarray):
     push pooling indices that the matching upsampling block consumes.
 
     A batch runs frame by frame, each with its own pool stack, in buffers that the
-    calling thread keeps between calls (about 18 MB at 640x352), so peak memory is one
+    calling thread keeps between calls (about 25 MB at 640x352), so peak memory is one
     frame's activations whatever N is, and a warm frame allocates none of them.  Every
     kernel keeps a frame's bits independent of its batch, so the maps equal those of
     each frame run alone.  No returned map shares memory with those buffers.

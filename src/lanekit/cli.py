@@ -230,8 +230,6 @@ def cmd_arch(args) -> int:
 def cmd_roundtrip(args) -> int:
     if args.scenes < 1:
         raise FormatError("--scenes must be >= 1")
-    if not 0 <= args.noise < float("inf"):
-        raise FormatError(f"--noise must be finite and >= 0, got {args.noise}")
     cfg = DecodeConfig()
     matched_px = 0
     total_px = 0
@@ -261,7 +259,10 @@ def cmd_synth(args) -> int:
         spacing=args.spacing, width=args.width,
         merge_split=args.merge_split, seed=args.seed,
     )
-    mask, ann = synth.generate(spec)
+    try:
+        mask, ann = synth.generate(spec)
+    except SceneError as e:  # lanes that cannot fit the frame are an input error
+        raise FormatError(str(e)) from e
     af = encode_affinities(mask)
     os.makedirs(args.out, exist_ok=True)
     T.save_tensor(os.path.join(args.out, "mask.aft"), mask.astype(np.float32))

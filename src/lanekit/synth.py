@@ -98,10 +98,10 @@ def perturb_fields(af: AffinityPair, sigma: float, seed: int = 0) -> AffinityPai
 
     Vertical vectors are re-normalized to unit length; the horizontal
     component is scaled by the cosine of its own rotation.  sigma=0 is an
-    exact identity.
+    exact identity; sigma must be finite and draw float32 angles that are.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    if not 0 <= sigma < np.inf:  # NaN fails both
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:
         return af
     rng = np.random.default_rng(seed)
@@ -109,8 +109,11 @@ def perturb_fields(af: AffinityPair, sigma: float, seed: int = 0) -> AffinityPai
     vaf = af.vaf.copy()
     fg = (af.haf != 0) | (af.vaf[0] != 0) | (af.vaf[1] != 0)
     n = int(fg.sum())
-    theta_h = rng.normal(0.0, sigma, n).astype(np.float32)
-    theta_v = rng.normal(0.0, sigma, n).astype(np.float32)
+    with np.errstate(over="ignore"):  # an angle past float32's range casts to inf
+        theta = rng.normal(0.0, sigma, (2, n)).astype(np.float32)
+    if not np.isfinite(theta).all():
+        raise ValueError(f"sigma {sigma} draws angles beyond float32's range")
+    theta_h, theta_v = theta
     haf[fg] = haf[fg] * np.cos(theta_h)
     c, s = np.cos(theta_v), np.sin(theta_v)
     vx, vy = vaf[0][fg], vaf[1][fg]
@@ -142,9 +145,7 @@ def roundtrip_scene(spec: SceneSpec, cfg: DecodeConfig = DecodeConfig(),
     so callers can pool agreement over many scenes by pixel weight.
     """
     mask, _ann = generate(spec)
-    af = encode_affinities(mask)
-    if sigma > 0:
-        af = perturb_fields(af, sigma, noise_seed)
+    af = perturb_fields(encode_affinities(mask), sigma, noise_seed)
     decoded = decode((mask > 0).astype(np.float32), af, cfg)
     agreement = best_label_agreement(mask, decoded.cluster_map)
     return agreement, int(mask.max()), len(decoded.lanes), int((mask > 0).sum())

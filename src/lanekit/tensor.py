@@ -28,7 +28,6 @@ BATCHNORM_EPS = 1e-5
 PRELU_DEFAULT_SLOPE = 0.25
 BN_PARTS = ("gamma", "beta", "mean", "var")
 PRELU_BLOCK = 1 << 17  # float32 values: 512 KiB, a quarter of a 2 MiB L2 cache
-CONV_BAND = 1 << 18  # im2col column elements per GEMM: 1 MiB of float32
 _SCRATCH = threading.local()
 
 
@@ -108,7 +107,7 @@ def transposed_output_hw(hw, kernel, stride, dilation, padding) -> tuple[int, in
 
 def conv2d(x: np.ndarray, p: ConvParams, out=None) -> np.ndarray:
     """Exact cross-correlation of a (N,C,H,W) tensor with p.kernel, into a C-contiguous
-    ``out`` if given, one band of at most CONV_BAND column elements at a time."""
+    ``out`` if given."""
     x = as_f32(x)
     _require_nchw(x)
     n, c, h, w = x.shape
@@ -130,22 +129,16 @@ def conv2d(x: np.ndarray, p: ConvParams, out=None) -> np.ndarray:
         x[:, :, ph:ph + h, pw:pw + w] = src
     out = np.empty((n, oc, oh, ow), dtype=np.float32) if out is None else out
     sn, sc, srh, srw = x.strides
-    # per frame, GEMMs of (oc x K) . (K x rows*ow); a 1x1 stride-1 conv's columns are its
-    # input rows.  Bands of equal rows, give or take one, are never thin enough for BLAS to
-    # take another kernel (with other bits), so the bits depend on neither batch nor band
+    # one GEMM per frame, (oc x K) . (K x oh*ow), so a frame's bits do not depend on its
+    # batch; a 1x1 stride-1 conv's columns are its input rows
     k, direct = c * kh * kw, kh * kw * sh * sw == 1
-    rows = oh if direct else max(1, CONV_BAND // (n * k * ow))
-    rows = -(-oh // -(-oh // rows))
-    for i in range(0, oh, rows):
-        r = min(rows, oh - i)
-        windows = np.lib.stride_tricks.as_strided(
-            x[:, :, i * sh:], shape=(n, c, kh, kw, r, ow),
-            strides=(sn, sc, dh * srh, dw * srw, sh * srh, sw * srw), writeable=False)
-        cols = windows.reshape(n, k, r * ow) if direct else scratch("temp", (n, k, r * ow))
-        if not direct:
-            np.copyto(cols.reshape(windows.shape), windows)
-        band = out.reshape(n, oc, -1)[:, :, i * ow:(i + r) * ow]  # a view: out is C-contiguous
-        np.matmul(p.kernel.reshape(oc, k), cols, out=band)
+    windows = np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, kh, kw, oh, ow),
+        strides=(sn, sc, dh * srh, dw * srw, sh * srh, sw * srw), writeable=False)
+    cols = windows.reshape(n, k, oh * ow) if direct else scratch("temp", (n, k, oh * ow))
+    if not direct:
+        np.copyto(cols.reshape(windows.shape), windows)
+    np.matmul(p.kernel.reshape(oc, k), cols, out=out.reshape(n, oc, -1))
     return out
 
 

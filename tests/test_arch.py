@@ -295,13 +295,9 @@ def test_forward_bytes_pinned(shared_heads, slope):
     assert h.hexdigest() == FORWARD_DIGESTS[shared_heads, slope]
 
 
-@pytest.mark.parametrize("band", [2**12, 2**16])
-def test_banded_conv2d_bytes_equal_one_gemm_per_frame(band, monkeypatch):
-    # every conv geometry of a 352x640 forward, cut into bands of one row (2**12)
-    # or a few rows (2**16) instead of 2**18 elements
-    spec = arch.build_enet21()
-    img = np.random.default_rng(4).standard_normal((1, 3, 352, 640)).astype(np.float32)
-    calls, conv = {}, T.conv2d
+def _forward_convs(monkeypatch, img):
+    """{geometry: (input, params)} of every conv2d call in one forward of *img*."""
+    spec, calls, conv = arch.build_enet21(), {}, T.conv2d
 
     def spy(x, p, out=None):
         calls.setdefault((x.shape, p.kernel.shape, p.stride, p.dilation, p.padding), (x.copy(), p))
@@ -310,13 +306,42 @@ def test_banded_conv2d_bytes_equal_one_gemm_per_frame(band, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(T, "conv2d", spy)
         arch.forward(spec, arch.random_weights(spec, seed=5), img)
+    return calls
+
+
+def test_conv2d_bytes_equal_one_gemm_per_frame(monkeypatch):
+    # every conv geometry of a 352x640 forward, into out= and into a new array
+    img = np.random.default_rng(4).standard_normal((1, 3, 352, 640)).astype(np.float32)
+    calls = _forward_convs(monkeypatch, img)
     assert len(calls) >= 10
-    monkeypatch.setattr(T, "CONV_BAND", band)
     for x, p in calls.values():
         want = conv2d_bits_ref(x, p.kernel, p.stride, p.dilation, p.padding)
         out = np.full_like(want, np.nan)
         assert T.conv2d(x, p, out=out) is out
         assert out.tobytes() == T.conv2d(x, p).tobytes() == want.tobytes()
+
+
+def test_forward_thread_buffers_hold_the_largest_convs_columns(monkeypatch):
+    # one GEMM per frame: "temp" is the largest conv's im2col columns (7.73 MiB, for the
+    # 3x3 16->16 convs at 88x160), and a thread's buffers total 24.1 MiB
+    spec = arch.build_enet21()
+    store = arch.random_weights(spec, seed=5)
+    img = np.random.default_rng(4).standard_normal((1, 3, 352, 640)).astype(np.float32)
+    cols = []
+    for x, p in _forward_convs(monkeypatch, img).values():
+        _, c, kh, kw = p.kernel.shape
+        if kh * kw * p.stride[0] * p.stride[1] > 1:  # a 1x1 stride-1 conv reads its input
+            oh, ow = T.conv_output_hw(x.shape[2:], (kh, kw), p.stride, p.dilation, p.padding)
+            cols.append(len(x) * c * kh * kw * oh * ow * 4)
+
+    def buffers():  # on a fresh thread, whose buffers start empty
+        arch.forward(spec, store, img)
+        return {role: buf.nbytes for role, buf in vars(T._SCRATCH).items()}
+
+    with ThreadPoolExecutor(1) as pool:
+        sizes = pool.submit(buffers).result(timeout=120)
+    assert sizes["temp"] == max(cols) == 16 * 9 * 88 * 160 * 4
+    assert sum(sizes.values()) <= 24.5 * 2**20, sum(sizes.values()) / 2**20
 
 
 def test_warm_forward_traces_under_half_the_per_call_peak():

@@ -470,11 +470,14 @@ def test_roundtrip_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-@pytest.mark.parametrize("noise", ["-1", "-0.1", "nan", "inf"])
+@pytest.mark.parametrize("noise", ["-1", "-0.1", "nan", "inf", "1e308"])
 def test_roundtrip_rejects_negative_or_non_finite_noise(capsys, noise):
+    # 1e308 passes the range rule, but its float32 angles are infinite
     assert run(["roundtrip", "--scenes", "1", "--noise", noise]) == 2
     captured = capsys.readouterr()
-    assert "--noise must be finite and >= 0" in captured.err
+    want = (f"sigma {float(noise)} draws angles beyond float32's range" if noise == "1e308"
+            else f"sigma must be finite and >= 0, got {float(noise)}")
+    assert f"lanecli roundtrip: error: {want}" in captured.err
     assert "aggregate" not in captured.out
 
 
@@ -717,6 +720,18 @@ def test_synth_out_of_range_float_exits_2_writing_nothing(tmp_path, capsys, flag
     rule = ("spacing must be in [3*width, 160]" if flag == "--spacing"
             else "curvature must be (low, high) in [-1, 1]")
     assert rule in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--spacing", "160", "--lanes", "4"], ["--spacing", "40", "--lanes", "6", "--curvature", "1"],
+])
+def test_synth_lanes_that_cannot_fit_exit_2_writing_nothing(tmp_path, capsys, flags):
+    # each value is in range, but no scene of the spec keeps its lanes apart in the frame
+    out = tmp_path / "scene"
+    assert run(["synth", "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "lanecli synth: error: could not realize a non-crossing scene" in err
     assert not out.exists()
 
 

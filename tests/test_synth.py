@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +111,22 @@ def test_perturb_sigma_zero_is_identity():
     af = encode_affinities(mask)
     out = synth.perturb_fields(af, 0.0, seed=5)
     assert (out.haf == af.haf).all() and (out.vaf == af.vaf).all()
+
+
+@pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf"), 1e38, 1e308])
+def test_perturb_and_roundtrip_reject_negative_non_finite_or_overflowing_sigma(sigma):
+    # the round trip once ran noise-free for -0.5 and NaN, and 1e38 and 1e308 gave
+    # fields that were NaN at every foreground pixel
+    spec = synth.random_scene_spec(8)
+    af = encode_affinities(synth.generate(spec)[0])
+    want = (f"sigma {sigma} draws angles beyond float32's range" if 0 <= sigma < np.inf
+            else f"sigma must be finite and >= 0, got {sigma}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nor may numpy's float32 cast warn
+        for call in (lambda: synth.perturb_fields(af, sigma),
+                     lambda: synth.roundtrip_scene(spec, sigma=sigma)):
+            with pytest.raises(ValueError, match=re.escape(want)):
+                call()
 
 
 def test_perturb_leaves_a_map_without_foreground_unchanged():
