@@ -309,15 +309,20 @@ def _forward_convs(monkeypatch, img):
     return calls
 
 
-def test_conv2d_bytes_equal_one_gemm_per_frame(monkeypatch):
-    # every conv geometry of a 352x640 forward, into out= and into a new array
+@pytest.mark.parametrize("band", [2**12, 2**16])
+def test_banded_conv2d_bytes_equal_one_gemm_per_frame(band, monkeypatch):
+    # every conv geometry of a 352x640 forward, into out= and into a new array, each
+    # call finding "temp" left by another kernel at the size of a band of one row
+    # (2**12) or a few rows (2**16) and full of NaN
     img = np.random.default_rng(4).standard_normal((1, 3, 352, 640)).astype(np.float32)
     calls = _forward_convs(monkeypatch, img)
     assert len(calls) >= 10
     for x, p in calls.values():
         want = conv2d_bits_ref(x, p.kernel, p.stride, p.dilation, p.padding)
         out = np.full_like(want, np.nan)
+        monkeypatch.setattr(T._SCRATCH, "temp", np.full(band, np.nan, np.float32), raising=False)
         assert T.conv2d(x, p, out=out) is out
+        monkeypatch.setattr(T._SCRATCH, "temp", np.full(band, np.nan, np.float32))
         assert out.tobytes() == T.conv2d(x, p).tobytes() == want.tobytes()
 
 
