@@ -12,9 +12,11 @@ per-layer plan, :func:`walk`, which alone owns the branch rule: the trunk
 rows chain from the image, and each head starts from the trunk output, or,
 with shared heads, from the output of rows 19-20, which then run once.  Each
 block is read once, by :func:`_read_block`, for its weight slots, FLOPs and
-output size.  The weight store and both ledgers fold over that reading, and
-the forward pass runs the same plans.  A row's ``kind`` alone says what its
-block does; every reader of a plan branches on it.
+output size.  The weight store and both ledgers fold over that reading.
+:func:`prepare` walks the plans once to resolve each row's weights, and the
+network it returns runs the same walk over those prepared rows, frame by
+frame.  A row's ``kind`` alone says what its block does; every reader of a
+plan branches on it.
 """
 from __future__ import annotations
 
@@ -167,8 +169,9 @@ def plan_block(layer: LayerSpec, in_ch: int) -> BlockPlan:
     return BlockPlan(layer, (proj, main, expand), skip)
 
 
-def walk(spec: ArchSpec, x, step) -> dict:
-    """Fold ``x = step(plan, head, x)`` over the rows in execution order.
+def walk(spec: ArchSpec, x, step, resolve=plan_block) -> dict:
+    """Fold ``x = step(resolve(layer, in_channels), head, x)`` over the rows in execution
+    order; *resolve* gives each row's plan, or its prepared step.
 
     This is the one place that decides which output feeds each row: the
     trunk rows chain from the input, and each head starts from the trunk
@@ -178,7 +181,7 @@ def walk(spec: ArchSpec, x, step) -> dict:
     """
     def chain(head, layers, x, ch):
         for layer in layers:
-            x = step(plan_block(layer, ch), head, x)
+            x = step(resolve(layer, ch), head, x)
             ch = layer.out_channels
         return x, ch
 
@@ -186,6 +189,12 @@ def walk(spec: ArchSpec, x, step) -> dict:
     x, ch = chain(None, spec.layers + shared, x, 3)
     return {head.name: chain(head.name, head.layers[len(shared):], x, ch)[0]
             for head in spec.heads}
+
+
+def _weight_name(unit: str, part: str) -> str:
+    """The store name of a unit's *part* ("kernel", "slope" or one of ``T.BN_PARTS``),
+    which it ends in."""
+    return f"{unit}.bn.{part}" if part in T.BN_PARTS else f"{unit}.{part}"
 
 
 def _read_block(plan: BlockPlan, in_hw) -> tuple[dict[str, tuple[int, ...]], int, tuple[int, int]]:
@@ -198,16 +207,16 @@ def _read_block(plan: BlockPlan, in_hw) -> tuple[dict[str, tuple[int, ...]], int
     def norm(name, ch, hw, bn, act):
         nonlocal flops
         if bn:
-            slots.update({f"{name}.bn.{part}": (ch,) for part in T.BN_PARTS})
+            slots.update({_weight_name(name, part): (ch,) for part in T.BN_PARTS})
         if act:
-            slots[f"{name}.slope"] = (ch,)
+            slots[_weight_name(name, "slope")] = (ch,)
         flops += 2 * (bn + act) * ch * hw[0] * hw[1]
 
     def conv(s: ConvSlot, hw):
         nonlocal flops
         shape = T.conv_output_hw if s.op == "conv" else T.transposed_output_hw
         out_hw = shape(hw, s.kernel, s.stride, s.dilation, s.padding)
-        slots[f"{s.name}.kernel"] = kernel = (s.out_ch, s.in_ch, *s.kernel)
+        slots[_weight_name(s.name, "kernel")] = kernel = (s.out_ch, s.in_ch, *s.kernel)
         # a conv applies its kernel once per output site, a transposed one per input site
         sites = out_hw if s.op == "conv" else hw
         flops += 2 * math.prod(kernel) * sites[0] * sites[1]
@@ -245,7 +254,7 @@ def count_flops(spec: ArchSpec, input_dims: tuple[int, int, int]) -> ArchReport:
     def step(plan, head, hw):
         slots, fl, out_hw = _read_block(plan, hw)
         p = sum(math.prod(dims) for name, dims in slots.items()
-                if not name.endswith((".bn.mean", ".bn.var")))
+                if name.rpartition(".")[2] not in ("mean", "var"))
         report.per_layer.append(LayerReport(plan.layer.id, plan.layer.name, head,
                                             (plan.layer.out_channels, *out_hw), p, fl))
         report.total_params += p
@@ -278,9 +287,10 @@ def random_weights(spec: ArchSpec, seed: int = 0) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     store: dict[str, np.ndarray] = {}
     for name, dims in weight_slots(spec).items():
-        if name.endswith((".gamma", ".var")):
+        part = name.rpartition(".")[2]
+        if part in ("gamma", "var"):
             store[name] = rng.uniform(0.5, 1.5, dims).astype(np.float32)
-        elif name.endswith(".slope"):
+        elif part == "slope":
             store[name] = np.full(dims, T.PRELU_DEFAULT_SLOPE, dtype=np.float32)
         else:  # kernel, beta, mean
             store[name] = rng.uniform(-0.1, 0.1, dims).astype(np.float32)
@@ -348,34 +358,32 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
 # Forward pass
 # --------------------------------------------------------------------------
 
-def _run_slot(x, slot: ConvSlot, store, out=None, main=None, slope=None):
+def _run_slot(x, slot: ConvSlot, units, out=None, main=None):
     """One conv unit into *out* (a workspace role, an array, or None for a new array),
-    then its batchnorm, the add of *main* and PReLU by its slope, else *slope*, in one pass."""
+    then its batchnorm, the add of *main* and its PReLU, in one pass."""
     conv, out_hw = ((T.conv2d, T.conv_output_hw) if slot.op == "conv"
                     else (T.transposed_conv2d, T.transposed_output_hw))
     if isinstance(out, str):
         out = T.scratch(out, (len(x), slot.out_ch, *out_hw(
             x.shape[2:], slot.kernel, slot.stride, slot.dilation, slot.padding)))
-    y = conv(x, T.ConvParams(store[f"{slot.name}.kernel"], slot.stride, slot.dilation,
-                             slot.padding), out=out)
-    bn = [store[f"{slot.name}.bn.{part}"] for part in T.BN_PARTS] if slot.bn else None
-    slope = store[f"{slot.name}.slope"] if slot.act else slope
+    params, bn, slope = units[slot.name]
+    y = conv(x, params, out=out)
     return T.batchnorm_add_prelu(y, bn, main, slope, out=y)
 
 
-def _run_block(x, plan: BlockPlan, store, pools, role, kept):
+def _run_block(x, plan: BlockPlan, role, units, pools, kept):
     """One row into the workspace buffer *role* (a head's last row: a new array), never
     into *x*; a pooling row's main branch into block2, and its indices only if *kept*."""
     kind, nm, n = plan.layer.kind, plan.layer.name, len(x)
     if kind == "conv1x1":
-        return _run_slot(x, plan.ext[0], store)
-    slope = store[f"{nm}.out.slope"]
+        return _run_slot(x, plan.ext[0], units)
     pooled = (n, x.shape[1], (x.shape[2] + 1) // 2, (x.shape[3] + 1) // 2)
     if kind == "initial":
         y, c = T.scratch(role, (n, plan.layer.out_channels, *pooled[2:])), plan.ext[0].out_ch
-        _run_slot(x, plan.ext[0], store, y[:, :c])
+        _run_slot(x, plan.ext[0], units, y[:, :c])
         T.maxpool2x2_with_indices(x, y[:, c:], indices=False)
-        return T.batchnorm_add_prelu(y, [store[f"{nm}.bn.{p}"] for p in T.BN_PARTS], None, slope, y)
+        bn, slope = units[nm]
+        return T.batchnorm_add_prelu(y, bn, None, slope, y)
     main = x
     if kind == "down":
         main = T.scratch("block2", pooled)
@@ -383,46 +391,87 @@ def _run_block(x, plan: BlockPlan, store, pools, role, kept):
         pools.append((T.maxpool2x2_with_indices(x, main, argmax, nm in kept)[1], x.shape[2:]))
     elif kind == "up":
         idx, out_hw = pools.pop()
-        skip = _run_slot(x, plan.main_conv, store, "ext1")  # free until the ext chain
+        skip = _run_slot(x, plan.main_conv, units, "ext1")  # free until the ext chain
         main = T.max_unpool2x2(skip, idx, out_hw, T.scratch("block2", (n, skip.shape[1], *out_hw)))
     ext = x
     for i, slot in enumerate(plan.ext[:-1]):
-        ext = _run_slot(ext, slot, store, f"ext{i}")
-    return _run_slot(ext, plan.ext[-1], store, role, main, slope)
+        ext = _run_slot(ext, slot, units, f"ext{i}")
+    return _run_slot(ext, plan.ext[-1], units, role, main)
+
+
+def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
+    """Validate *store* once and resolve what no image changes: each row's plan and
+    buffer, each unit's ConvParams, batchnorm (scale, shift) and PReLU slope, and the
+    "down" rows whose pool indices an "up" row pops.  Returns the network, a function of
+    an image.  It holds read-only float32 copies of the weights, so later changes to
+    *store* do not reach it, and threads may share it, each in buffers of its own."""
+    validate_weights(spec, store)
+    plans, units, downs, kept = {}, {}, [], set()
+
+    def own(a):
+        a = np.array(a, dtype=np.float32)
+        a.setflags(write=False)
+        return a
+
+    def norm(name, ch, bn, slope):  # a unit's (scale, shift) and slope
+        parts = [store[_weight_name(name, p)] for p in T.BN_PARTS] if bn else None
+        bn, slope = T.norm_vectors(ch, parts, slope)
+        return bn and (own(bn[0]), own(bn[1])), None if slope is None else own(slope)
+
+    def conv(s: ConvSlot, slope):  # a unit with no PReLU of its own takes *slope*
+        kernel = own(store[_weight_name(s.name, "kernel")])
+        units[s.name] = (T.ConvParams(kernel, s.stride, s.dilation, s.padding),
+                         *norm(s.name, s.out_ch, s.bn,
+                               store[_weight_name(s.name, "slope")] if s.act else slope))
+
+    def row(plan: BlockPlan, head, _):
+        layer, kind, nm = plan.layer, plan.layer.kind, plan.layer.name
+        # rows by parity into block buffers 1 and 0, the trunk ending on 0; head row 20 into 2
+        plans[nm] = plan, f"block{layer.id % 2 or 2 * (head is not None)}"
+        slope = None if kind == "conv1x1" else store[_weight_name(f"{nm}.out", "slope")]
+        if kind == "initial":  # the batchnorm and PReLU of the concatenation
+            units[nm], slope = norm(nm, layer.out_channels, True, slope), None
+        for s in plan.ext:  # the block's PReLU follows its last conv
+            conv(s, slope)
+        if plan.main_conv is not None:
+            conv(plan.main_conv, None)
+        if kind == "down":
+            downs.append(nm)
+        elif kind == "up":
+            kept.add(downs.pop())
+
+    walk(spec, None, row)
+
+    def network(image: np.ndarray):
+        """Run the network; returns (seg_logits, haf_map, vaf_map).
+
+        image is (N, 3, H, W) with H, W divisible by 8.  A batch runs frame by frame, each
+        with its own pool stack, in buffers that the calling thread keeps between calls
+        (about 25 MB at 640x352), so peak memory is one frame's activations whatever N is,
+        and a warm frame allocates none of them.  Every kernel keeps a frame's bits
+        independent of its batch, so the maps equal those of each frame run alone.  No
+        returned map shares memory with those buffers.
+        """
+        image = T.as_f32(image)
+        if image.ndim == 3:
+            image = image[None]
+        if image.ndim != 4 or image.shape[1] != 3:
+            raise ShapeError(f"image must be (N,3,H,W), got {tuple(image.shape)}")
+        if image.shape[2] % 8 or image.shape[3] % 8:
+            raise ShapeError(f"image spatial dims {image.shape[2:]} not divisible by 8")
+
+        def run(frame):
+            pools: list = []
+            return walk(spec, frame, lambda step, head, x: _run_block(x, *step, units, pools, kept),
+                        lambda layer, _: plans[layer.name])
+
+        # an empty batch still runs once, so conv2d names its zero-sized dim
+        frames = [run(image[i:i + 1]) for i in range(max(len(image), 1))]
+        return tuple(np.concatenate([f[name] for f in frames]) for name in ("seg", "haf", "vaf"))
+
+    return network
 
 
 def forward(spec: ArchSpec, store: dict[str, np.ndarray], image: np.ndarray):
-    """Run the network; returns (seg_logits, haf_map, vaf_map).
-
-    image is (N, 3, H, W) with H, W divisible by 8.  Downsampling blocks
-    push pooling indices that the matching upsampling block consumes.
-
-    A batch runs frame by frame, each with its own pool stack, in buffers that the
-    calling thread keeps between calls (about 25 MB at 640x352), so peak memory is one
-    frame's activations whatever N is, and a warm frame allocates none of them.  Every
-    kernel keeps a frame's bits independent of its batch, so the maps equal those of
-    each frame run alone.  No returned map shares memory with those buffers.
-    """
-    validate_weights(spec, store)
-    image = T.as_f32(image)
-    if image.ndim == 3:
-        image = image[None]
-    if image.ndim != 4 or image.shape[1] != 3:
-        raise ShapeError(f"image must be (N,3,H,W), got {tuple(image.shape)}")
-    if image.shape[2] % 8 or image.shape[3] % 8:
-        raise ShapeError(f"image spatial dims {image.shape[2:]} not divisible by 8")
-
-    stack, kept = [], set()  # the down blocks whose pool indices an up block pops
-    walk(spec, None, lambda plan, head, x: stack.append(plan.layer.name)
-         if plan.layer.kind == "down" else kept.add(stack.pop()) if plan.layer.kind == "up"
-         else None)
-
-    def run(frame):
-        pools: list = []
-        # rows by parity into block buffers 1 and 0, the trunk ending on 0; head row 20 into 2
-        return walk(spec, frame, lambda plan, head, x: _run_block(
-            x, plan, store, pools, f"block{plan.layer.id % 2 or 2 * (head is not None)}", kept))
-
-    # an empty batch still runs once, so conv2d names its zero-sized dim
-    frames = [run(image[i:i + 1]) for i in range(max(len(image), 1))]
-    return tuple(np.concatenate([f[name] for f in frames]) for name in ("seg", "haf", "vaf"))
+    """Run the network on *image* once: ``prepare(spec, store)(image)``."""
+    return prepare(spec, store)(image)

@@ -243,26 +243,44 @@ def _per_channel(v, channels: int, name: str) -> np.ndarray:
     return arr
 
 
+def norm_vectors(channels: int, bn=None, slope=None, eps: float = BATCHNORM_EPS) -> tuple:
+    """(bn, slope) as the float32 vectors of length *channels* (a length-1 input repeats)
+    that :func:`batchnorm_add_prelu` takes; bn = (gamma, beta, mean, var) becomes (scale,
+    shift) = (gamma / sqrt(var + eps), beta - mean * scale).  None stays None."""
+    if bn is not None:
+        gamma, beta, mean, var = (_per_channel(a, channels, name) for a, name in zip(bn, BN_PARTS))
+        if (var < 0).any():
+            raise ShapeError("variance must be non-negative")
+        scale = gamma / np.sqrt(var + np.float32(eps))
+        bn = scale, beta - mean * scale
+    return bn, None if slope is None else _per_channel(slope, channels, "slope")
+
+
 def batchnorm_infer(x, gamma, beta, mean, var, eps: float = BATCHNORM_EPS,
                     out=None) -> np.ndarray:
     """Inference-mode batch normalization: gamma*(x-mean)/sqrt(var+eps)+beta,
     written into ``out`` if given (it may be *x*)."""
-    return batchnorm_add_prelu(x, (gamma, beta, mean, var), out=out, eps=eps)
+    x = as_f32(x)
+    _require_nchw(x)
+    return batchnorm_add_prelu(x, norm_vectors(x.shape[1], (gamma, beta, mean, var), eps=eps)[0],
+                               out=out)
 
 
 def prelu(x, slope, out=None) -> np.ndarray:
     """Per-channel PReLU: x if x > 0 else slope * x, written into ``out`` if
     given (it may be *x*)."""
-    return batchnorm_add_prelu(x, slope=slope, out=out)
+    x = as_f32(x)
+    _require_nchw(x)
+    return batchnorm_add_prelu(x, slope=norm_vectors(x.shape[1], slope=slope)[1], out=out)
 
 
-def batchnorm_add_prelu(x, bn=None, main=None, slope=None, out=None,
-                        eps: float = BATCHNORM_EPS) -> np.ndarray:
-    """x * scale + shift for bn = (gamma, beta, mean, var), then main + x (+0.0 past
-    main's channels, as a zero-padded main adds), then PReLU, each step optional and
-    rounded as alone, a block of channels at a time, into ``out`` if given (may be x).
-    PReLU is max(x * slope, x) if every slope is in (0, 1] (numpy returns the second
-    operand on a tie, the first if NaN), else the exact max(x, -0.0) + min(0, x) * slope."""
+def batchnorm_add_prelu(x, bn=None, main=None, slope=None, out=None) -> np.ndarray:
+    """x * scale + shift for bn = (scale, shift), then main + x (+0.0 past main's channels,
+    as a zero-padded main adds), then PReLU, each step optional and rounded as alone, a
+    block of channels at a time, into ``out`` if given (may be x).  bn and slope are the
+    per-channel float32 vectors of :func:`norm_vectors`.  PReLU is max(x * slope, x) if
+    every slope is in (0, 1] (numpy returns the second operand on a tie, the first if
+    NaN), else the exact max(x, -0.0) + min(0, x) * slope."""
     x = as_f32(x)
     _require_nchw(x)
     y, c = x.copy() if out is None else out, x.shape[1]
@@ -270,27 +288,25 @@ def batchnorm_add_prelu(x, bn=None, main=None, slope=None, out=None,
         np.copyto(out, x)
     if main is not None and (main.shape[1] > c or main[:, :0].shape != x[:, :0].shape):
         raise ShapeError(f"main {tuple(main.shape)} does not fit {tuple(x.shape)}")
-    if bn is not None:
-        gamma, beta, mean, var = (_per_channel(a, c, name) for a, name in zip(bn, BN_PARTS))
-        if (var < 0).any():
-            raise ShapeError("variance must be non-negative")
-        scale = gamma / np.sqrt(var + np.float32(eps))
-        shift = beta - mean * scale
-    s = None if slope is None else _per_channel(slope, c, "slope")
-    two_pass = s is not None and np.all((s > 0) & (s <= 1))
+    if any(getattr(v, "dtype", None) != np.float32 or np.shape(v) != (c,)
+           for v in (*(bn or ()), slope) if v is not None):
+        raise ShapeError(f"batchnorm and slope must be float32 vectors of length {c}")
+    scale, shift = bn or (None, None)
+    two_pass = slope is not None and np.all((slope > 0) & (slope <= 1))
     step = max(1, PRELU_BLOCK // x[:, :1].size)  # a block's temporaries stay in cache
     for b in (slice(i, i + step) for i in range(0, c, step)):
         yb = y[:, b]
-        if bn is not None:
+        if scale is not None:
             np.add(np.multiply(yb, scale[b, None, None], out=yb), shift[b, None, None], out=yb)
         if main is not None:
             k = main[:, b].shape[1]
             np.add(main[:, b], yb[:, :k], out=yb[:, :k])
             np.add(0.0, yb[:, k:], out=yb[:, k:])
         if two_pass:
-            np.maximum(np.multiply(yb, s[b, None, None], out=scratch("temp", yb.shape)), yb, out=yb)
-        elif s is not None:
-            neg = np.minimum(0, yb) * s[b, None, None]
+            np.maximum(np.multiply(yb, slope[b, None, None], out=scratch("temp", yb.shape)), yb,
+                       out=yb)
+        elif slope is not None:
+            neg = np.minimum(0, yb) * slope[b, None, None]
             np.add(np.maximum(yb, -0.0, out=yb), neg, out=yb)
     return y
 

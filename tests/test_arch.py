@@ -401,6 +401,87 @@ def test_forward_leaves_image_and_store_unchanged(shared_heads):
     assert {name: w.tobytes() for name, w in store.items()} == before[1]
 
 
+def test_prepared_network_shared_across_threads_gives_serial_bytes():
+    spec = arch.build_enet21()
+    net = arch.prepare(spec, arch.random_weights(spec, seed=5))
+    imgs = np.random.default_rng(11).standard_normal((8, 1, 3, 64, 96)).astype(np.float32)
+    serial = [net(img) for img in imgs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-kernel
+    try:
+        # more threads than cores on one network, each thread with buffers of its own
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(net, imgs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for maps, other in zip(serial, threaded):
+        for got, again in zip(maps, other):
+            assert got.tobytes() == again.tobytes()
+
+
+@pytest.mark.parametrize("shared_heads", [False, True])
+def test_prepared_network_is_a_snapshot_of_read_only_copies(shared_heads, monkeypatch):
+    spec = arch.build_enet21(shared_heads=shared_heads)
+    store = arch.random_weights(spec, seed=5)
+    img = np.random.default_rng(5).standard_normal((1, 3, 32, 48)).astype(np.float32)
+    net = arch.prepare(spec, store)
+    held, conv, fused = [], T.conv2d, T.batchnorm_add_prelu
+
+    def conv_spy(x, p, out=None):
+        held.append(p.kernel)
+        return conv(x, p, out=out)
+
+    def fused_spy(x, bn=None, main=None, slope=None, out=None):
+        held.extend(a for a in (*(bn or ()), slope) if a is not None)
+        return fused(x, bn, main, slope, out)
+
+    monkeypatch.setattr(T, "conv2d", conv_spy)
+    monkeypatch.setattr(T, "batchnorm_add_prelu", fused_spy)
+    want = [m.tobytes() for m in net(img)]
+    assert len(held) > 100
+    for a in held:
+        assert a.dtype == np.float32 and not a.flags.writeable
+        assert not any(np.shares_memory(a, w) for w in store.values())
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    for w in store.values():
+        w[...] = np.nan
+    assert [m.tobytes() for m in net(img)] == want
+    store.clear()
+    assert [m.tobytes() for m in net(img)] == want
+
+
+def test_prepare_validates_once_and_kernels_are_looked_up_per_call(monkeypatch):
+    spec = arch.build_enet21()
+    store = arch.random_weights(spec, seed=5)
+    img = np.random.default_rng(6).standard_normal((2, 3, 16, 24)).astype(np.float32)
+    checks, validate = [], arch.validate_weights
+    monkeypatch.setattr(arch, "validate_weights", lambda *a: checks.append(1) or validate(*a))
+    net = arch.prepare(spec, store)
+    convs, conv = [], T.conv2d  # spied on after prepare, as a traced benchmark wraps it
+    monkeypatch.setattr(T, "conv2d", lambda x, p, out=None: convs.append(1) or conv(x, p, out))
+    for _ in range(3):
+        net(img)
+    assert len(checks) == 1
+    per_frame = []
+    arch.walk(spec, None, lambda plan, head, _: per_frame.extend(
+        s for s in plan.ext + (plan.main_conv,) if s is not None and s.op == "conv"))
+    assert len(convs) == 3 * len(img) * len(per_frame)
+
+
+@pytest.mark.parametrize("slot, bad", [("bottleneck2.3.main.kernel", None),
+                                       ("initial.conv.kernel", (13, 3, 5, 5))])
+def test_prepare_names_a_missing_or_misshaped_slot(slot, bad):
+    spec = arch.build_enet21()
+    store = arch.random_weights(spec, seed=4)
+    if bad is None:
+        del store[slot]
+    else:
+        store[slot] = np.zeros(bad, dtype=np.float32)
+    with pytest.raises(ShapeError, match=slot.replace(".", r"\.")):
+        arch.prepare(spec, store)
+
+
 @pytest.mark.parametrize("shared_heads, params, flops, slots", [
     (False, 266_319, 2_995_491_840, 428),
     (True, 247_759, 2_480_051_200, 356),

@@ -205,14 +205,23 @@ def test_batchnorm_in_place_bytes_equal_out_of_place(x, data):
     assert same_bits(y, ref)
 
 
-def _bits_ref_batchnorm_add_prelu(x, bn=None, main=None, slope=None, out=None):
-    """Batchnorm, the add of a zero-padded main and PReLU as the separate float32
-    passes that the fused kernel replaced."""
-    y = np.array(x, dtype=np.float32)
+def _bits_ref_norm_vectors(channels, bn=None, slope=None, eps=T.BATCHNORM_EPS):
+    """(scale, shift) of bn = (gamma, beta, mean, var) and the slope, as the separate
+    float32 passes of the batchnorm formula."""
     if bn is not None:
         gamma, beta, mean, var = (np.asarray(a, dtype=np.float32) for a in bn)
-        scale = gamma / np.sqrt(var + np.float32(T.BATCHNORM_EPS))
-        y = y * scale[:, None, None] + (beta - mean * scale)[:, None, None]
+        scale = gamma / np.sqrt(var + np.float32(eps))
+        bn = scale, beta - mean * scale
+    return bn, None if slope is None else np.asarray(slope, dtype=np.float32)
+
+
+def _bits_ref_batchnorm_add_prelu(x, bn=None, main=None, slope=None, out=None):
+    """x * scale + shift for bn = (scale, shift), the add of a zero-padded main and PReLU
+    as the separate float32 passes that the fused kernel replaced."""
+    y = np.array(x, dtype=np.float32)
+    if bn is not None:
+        scale, shift = bn
+        y = y * scale[:, None, None] + shift[:, None, None]
     if main is not None:
         pad = np.zeros((len(y), y.shape[1] - main.shape[1], *y.shape[2:]), np.float32)
         y = np.concatenate([main, pad], axis=1) + y
@@ -234,9 +243,11 @@ def test_batchnorm_add_prelu_bytes_equal_separate_passes(x, block, data):
     main = EDGE_F32[data.draw(st.lists(st.integers(0, len(EDGE_F32) - 1), min_size=n * k * h * w,
                                        max_size=n * k * h * w))].reshape(n, k, h, w)
     slope = per_channel(x, SLOPES_F32, data)
-    args = [a if data.draw(st.booleans()) else None for a in (bn, main, slope)]
+    bn, main, slope = [a if data.draw(st.booleans()) else None for a in (bn, main, slope)]
     with np.errstate(all="ignore"), mock.patch.object(T, "PRELU_BLOCK", block):
-        ref = _bits_ref_batchnorm_add_prelu(x, *args)
+        # the kernel's (scale, shift) from norm_vectors, the reference's from its own passes
+        ref = _bits_ref_batchnorm_add_prelu(x, _bits_ref_norm_vectors(c, bn)[0], main, slope)
+        args = (T.norm_vectors(c, bn)[0], main, slope)
         y = x.copy()
         assert T.batchnorm_add_prelu(y, *args, out=y) is y
         outs = (T.batchnorm_add_prelu(x, *args), y)
@@ -254,6 +265,16 @@ def test_batchnorm_add_prelu_names_a_main_that_does_not_fit():
     for main in (np.zeros((1, 3, 3, 4), np.float32), np.zeros((1, 2, 3, 5), np.float32)):
         with pytest.raises(ShapeError, match=r"main \(1, \d, 3, \d\) does not fit \(1, 2, 3, 4\)"):
             T.batchnorm_add_prelu(x, main=main)
+
+
+def test_batchnorm_add_prelu_rejects_vectors_not_from_norm_vectors():
+    x = np.zeros((1, 2, 3, 4), np.float32)
+    pair = T.norm_vectors(2, [np.ones(2, np.float32)] * 4)[0]
+    for bn, slope in (((pair[0][:1], pair[1][:1]), None), (None, np.ones(1, np.float32)),
+                      (None, np.ones(2)), (None, [0.25, 0.25])):
+        with pytest.raises(ShapeError, match="float32 vectors of length 2"):
+            T.batchnorm_add_prelu(x, bn, slope=slope)
+    assert T.batchnorm_add_prelu(x, pair, slope=np.ones(2, np.float32)).shape == x.shape
 
 
 def _bits_ref_maxpool(x, out=None, argmax=None, indices=True):
@@ -293,6 +314,7 @@ def test_forward_bytes_equal_forward_on_reference_kernels(shared_heads, slopes, 
     img = np.random.default_rng(3).standard_normal((2, 3, 32, 48)).astype(np.float32)
     monkeypatch.setattr(T, "PRELU_BLOCK", block)
     got = arch.forward(spec, store, img)
+    monkeypatch.setattr(T, "norm_vectors", _bits_ref_norm_vectors)
     monkeypatch.setattr(T, "batchnorm_add_prelu", _bits_ref_batchnorm_add_prelu)
     monkeypatch.setattr(T, "maxpool2x2_with_indices", _bits_ref_maxpool)
     for a, b in zip(got, arch.forward(spec, store, img)):
