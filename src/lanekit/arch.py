@@ -13,15 +13,19 @@ rows chain from the image, and each head starts from the trunk output, or,
 with shared heads, from the output of rows 19-20, which then run once.  Each
 block is read once, by :func:`_read_block`, for its weight slots, FLOPs and
 output size.  The weight store and both ledgers fold over that reading.
-:func:`prepare` walks the plans once to resolve each row's weights, and the
-network it returns runs the same walk over those prepared rows, frame by
-frame.  A row's ``kind`` alone says what its block does; every reader of a
-plan branches on it.
+:func:`prepare` walks the plans once to resolve each row's weights and
+buffer, and the network it returns runs the same walk over those prepared
+rows, frame by frame, with a batch's frames on threads.  A row's ``kind``
+alone says what its block does; every reader of a plan branches on it.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -358,9 +362,40 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
 # Forward pass
 # --------------------------------------------------------------------------
 
-def _run_slot(x, slot: ConvSlot, units, out=None, main=None):
+_POOL_LOCK = threading.Lock()
+_POOL: list[ThreadPoolExecutor] = []  # the frame threads, made by the first batch to use them
+
+
+def _map_frames(run, n: int) -> None:
+    """Call run(i) for every frame i < n on min(n, usable cores) threads, the caller one of
+    them, while numpy's OpenBLAS is held at one thread; on the caller alone if that is one
+    thread or no BLAS setter is found.  The other threads persist, each keeping its own
+    buffers, so a warm batch allocates none."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(n, cores)
+    with T.one_blas_thread() if workers > 1 else contextlib.nullcontext(False) as pinned:
+        workers = workers if pinned else 1
+
+        def share(j):  # frames j, j + workers, ...
+            for i in range(j, n, workers):
+                run(i)
+
+        if workers > 1:
+            with _POOL_LOCK:
+                if not _POOL:
+                    _POOL.append(ThreadPoolExecutor(cores - 1, "lanekit-frame"))
+        futures = [_POOL[0].submit(share, j) for j in range(1, workers)]
+        try:
+            share(0)
+        finally:  # no frame runs on once the pin is released
+            wait(futures)
+        for f in futures:
+            f.result()
+
+
+def _run_slot(x, slot: ConvSlot, units, out=None):
     """One conv unit into *out* (a workspace role, an array, or None for a new array),
-    then its batchnorm, the add of *main* and its PReLU, in one pass."""
+    then its batchnorm and PReLU, in one pass."""
     conv, out_hw = ((T.conv2d, T.conv_output_hw) if slot.op == "conv"
                     else (T.transposed_conv2d, T.transposed_output_hw))
     if isinstance(out, str):
@@ -368,45 +403,60 @@ def _run_slot(x, slot: ConvSlot, units, out=None, main=None):
             x.shape[2:], slot.kernel, slot.stride, slot.dilation, slot.padding)))
     params, bn, slope = units[slot.name]
     y = conv(x, params, out=out)
-    return T.batchnorm_add_prelu(y, bn, main, slope, out=y)
+    return T.batchnorm_add_prelu(y, bn, None, slope, out=y)
+
+
+def _run_expand(x, slot: ConvSlot, units, out, main):
+    """A block's last, 1x1 conv unit, then its batchnorm, the add of *main* and its PReLU,
+    into *out*, which may hold *main*: as many output channels at a time as *x* has,
+    through the "ext0" buffer that the ext chain has passed, so the conv's output is
+    never held whole."""
+    n, _, h, w = x.shape
+    for c, params, bn, slope in units[slot.name]:
+        band = T.conv2d(x, params, T.scratch("ext0", (n, params.kernel.shape[0], h, w)))
+        T.batchnorm_add_prelu(band, bn, main[:, c], slope, out[:, c])
+    return out
 
 
 def _run_block(x, plan: BlockPlan, role, units, pools, kept):
-    """One row into the workspace buffer *role* (a head's last row: a new array), never
-    into *x*; a pooling row's main branch into block2, and its indices only if *kept*."""
-    kind, nm, n = plan.layer.kind, plan.layer.name, len(x)
-    if kind == "conv1x1":
-        return _run_slot(x, plan.ext[0], units)
-    pooled = (n, x.shape[1], (x.shape[2] + 1) // 2, (x.shape[3] + 1) // 2)
+    """One row into the block buffer *role*, which holds *x* where the row works in
+    place; a pooling row's main branch goes into the leading channels of its output, and
+    its indices are kept only if *kept*."""
+    kind, nm, n, c = plan.layer.kind, plan.layer.name, len(x), plan.layer.out_channels
+    pooled = (x.shape[2] + 1) // 2, (x.shape[3] + 1) // 2
     if kind == "initial":
-        y, c = T.scratch(role, (n, plan.layer.out_channels, *pooled[2:])), plan.ext[0].out_ch
-        _run_slot(x, plan.ext[0], units, y[:, :c])
-        T.maxpool2x2_with_indices(x, y[:, c:], indices=False)
+        y, k = T.scratch(role, (n, c, *pooled)), plan.ext[0].out_ch
+        _run_slot(x, plan.ext[0], units, y[:, :k])
+        T.maxpool2x2_with_indices(x, y[:, k:], indices=False)
         bn, slope = units[nm]
         return T.batchnorm_add_prelu(y, bn, None, slope, y)
-    main = x
     if kind == "down":
-        main = T.scratch("block2", pooled)
-        argmax = T.scratch(f"{nm}.argmax", pooled, np.int64) if nm in kept else None
+        y = T.scratch(role, (n, c, *pooled))
+        main = y[:, :x.shape[1]]
+        index = np.int32 if x.shape[2] * x.shape[3] < 2**31 else np.int64
+        argmax = T.scratch(f"{nm}.argmax", main.shape, index) if nm in kept else None
         pools.append((T.maxpool2x2_with_indices(x, main, argmax, nm in kept)[1], x.shape[2:]))
     elif kind == "up":
         idx, out_hw = pools.pop()
         skip = _run_slot(x, plan.main_conv, units, "ext1")  # free until the ext chain
-        main = T.max_unpool2x2(skip, idx, out_hw, T.scratch("block2", (n, skip.shape[1], *out_hw)))
+        y = main = T.max_unpool2x2(skip, idx, out_hw, T.scratch(role, (n, c, *out_hw)))
+    else:
+        y, main = T.scratch(role, x.shape), x
     ext = x
     for i, slot in enumerate(plan.ext[:-1]):
         ext = _run_slot(ext, slot, units, f"ext{i}")
-    return _run_slot(ext, plan.ext[-1], units, role, main)
+    return _run_expand(ext, plan.ext[-1], units, y, main)
 
 
 def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
     """Validate *store* once and resolve what no image changes: each row's plan and
-    buffer, each unit's ConvParams, batchnorm (scale, shift) and PReLU slope, and the
-    "down" rows whose pool indices an "up" row pops.  Returns the network, a function of
+    buffer, each unit's ConvParams, batchnorm (scale, shift) and PReLU slope (an expand's
+    in bands of its input's width), and the "down" rows whose pool indices an "up" row
+    pops.  Returns the network, a function of
     an image.  It holds read-only float32 copies of the weights, so later changes to
     *store* do not reach it, and threads may share it, each in buffers of its own."""
     validate_weights(spec, store)
-    plans, units, downs, kept = {}, {}, [], set()
+    plans, units, downs, kept, trunk = {}, {}, [], set(), None
 
     def own(a):
         a = np.array(a, dtype=np.float32)
@@ -424,33 +474,49 @@ def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
                          *norm(s.name, s.out_ch, s.bn,
                                store[_weight_name(s.name, "slope")] if s.act else slope))
 
-    def row(plan: BlockPlan, head, _):
+    def row(plan: BlockPlan, head, block):  # *block*: the buffer (0 or 1) of the row's input
+        nonlocal trunk
         layer, kind, nm = plan.layer, plan.layer.kind, plan.layer.name
-        # rows by parity into block buffers 1 and 0, the trunk ending on 0; head row 20 into 2
-        plans[nm] = plan, f"block{layer.id % 2 or 2 * (head is not None)}"
+        # a row works in place, so a thread keeps two block buffers; a row that changes
+        # size, or whose input later heads read too, writes into the other one
+        if kind in ("initial", "down", "up") or (head is not None and block == trunk):
+            block = 1 - block
+        plans[nm] = plan, f"block{block}"
+        trunk = block if head is None else trunk
         slope = None if kind == "conv1x1" else store[_weight_name(f"{nm}.out", "slope")]
         if kind == "initial":  # the batchnorm and PReLU of the concatenation
             units[nm], slope = norm(nm, layer.out_channels, True, slope), None
         for s in plan.ext:  # the block's PReLU follows its last conv
             conv(s, slope)
+        if kind in ("down", "up", "bottleneck"):  # the expand, in bands of its input's width
+            e = plan.ext[-1]
+            params, (scale, shift), act = units[e.name]
+            bands = (slice(i, i + e.in_ch) for i in range(0, e.out_ch, e.in_ch))
+            units[e.name] = [(c, T.ConvParams(params.kernel[c]), (scale[c], shift[c]), act[c])
+                             for c in bands]
         if plan.main_conv is not None:
             conv(plan.main_conv, None)
         if kind == "down":
             downs.append(nm)
         elif kind == "up":
             kept.add(downs.pop())
+        return block
 
-    walk(spec, None, row)
+    walk(spec, 1, row)  # the initial row writes into block0
 
     def network(image: np.ndarray):
         """Run the network; returns (seg_logits, haf_map, vaf_map).
 
-        image is (N, 3, H, W) with H, W divisible by 8.  A batch runs frame by frame, each
-        with its own pool stack, in buffers that the calling thread keeps between calls
-        (about 25 MB at 640x352), so peak memory is one frame's activations whatever N is,
-        and a warm frame allocates none of them.  Every kernel keeps a frame's bits
-        independent of its batch, so the maps equal those of each frame run alone.  No
-        returned map shares memory with those buffers.
+        image is (N, 3, H, W) with H, W divisible by 8.  Each frame runs alone, with its
+        own pool stack, in buffers that its thread keeps between calls (about 11 MB at
+        640x352), and writes its maps straight into the returned arrays.  A batch of N >= 2
+        runs its frames on min(N, usable cores) threads, the caller one of them, with
+        numpy's OpenBLAS held at one thread for the call, and on the caller alone if no
+        BLAS setter is found.  So peak memory is one frame's activations per thread,
+        whatever N is, and a warm frame allocates none of them.  Every kernel keeps a
+        frame's bits independent of its batch, its thread and the BLAS thread count, so
+        the maps equal those of each frame run alone.  No returned map shares memory with
+        those buffers.
         """
         image = T.as_f32(image)
         if image.ndim == 3:
@@ -459,19 +525,31 @@ def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
             raise ShapeError(f"image must be (N,3,H,W), got {tuple(image.shape)}")
         if image.shape[2] % 8 or image.shape[3] % 8:
             raise ShapeError(f"image spatial dims {image.shape[2:]} not divisible by 8")
+        maps, lock = {}, threading.Lock()
 
-        def run(frame):
+        def run(i):
             pools: list = []
-            return walk(spec, frame, lambda step, head, x: _run_block(x, *step, units, pools, kept),
-                        lambda layer, _: plans[layer.name])
+
+            def step(prepared, head, x):
+                plan, role = prepared
+                if plan.layer.kind != "conv1x1":
+                    return _run_block(x, plan, role, units, pools, kept)
+                with lock:  # the first frame to reach a head's last row makes its map
+                    if head not in maps:
+                        maps[head] = np.empty((len(image), plan.layer.out_channels,
+                                               *x.shape[2:]), np.float32)
+                return _run_slot(x, plan.ext[0], units, maps[head][i:i + 1])
+
+            walk(spec, image[i:i + 1], step, lambda layer, _: plans[layer.name])
 
         # an empty batch still runs once, so conv2d names its zero-sized dim
-        frames = [run(image[i:i + 1]) for i in range(max(len(image), 1))]
-        return tuple(np.concatenate([f[name] for f in frames]) for name in ("seg", "haf", "vaf"))
+        _map_frames(run, max(len(image), 1))
+        return tuple(maps[name] for name in ("seg", "haf", "vaf"))
 
     return network
 
 
 def forward(spec: ArchSpec, store: dict[str, np.ndarray], image: np.ndarray):
-    """Run the network on *image* once: ``prepare(spec, store)(image)``."""
+    """Run the network on *image* once: ``prepare(spec, store)(image)``, a batch's frames
+    on threads, each byte-equal to the frame run alone."""
     return prepare(spec, store)(image)

@@ -11,6 +11,10 @@ format used throughout the toolkit is defined by :func:`save_tensor` /
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
 import os
 import struct
@@ -28,7 +32,10 @@ BATCHNORM_EPS = 1e-5
 PRELU_DEFAULT_SLOPE = 0.25
 BN_PARTS = ("gamma", "beta", "mean", "var")
 PRELU_BLOCK = 1 << 17  # float32 values: 512 KiB, a quarter of a 2 MiB L2 cache
+CONV_BAND = 1 << 18  # im2col column elements per GEMM: 1 MiB of float32
 _SCRATCH = threading.local()
+_PIN_LOCK = threading.Lock()
+_PIN = {"holders": 0, "threads": 0}  # callers inside one_blas_thread, the count to restore
 
 
 def scratch(role: str, shape, dtype=np.float32) -> np.ndarray:
@@ -37,6 +44,47 @@ def scratch(role: str, shape, dtype=np.float32) -> np.ndarray:
     if role not in bufs or bufs[role].size < size:
         bufs[role] = np.empty(size, dtype)
     return bufs[role][:size].reshape(shape)
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or None."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        lib = ctypes.CDLL(path)  # numpy's own copy: loaded already, so not loaded again
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread inside the block, so that threads which each
+    run their own GEMMs leave no BLAS thread spinning on a core they need.  The last of
+    concurrent holders to leave restores the count the first one found.  Yields False,
+    holding nothing, if no setter is found."""
+    blas = _openblas()
+    if blas is None:
+        yield False
+        return
+    get, put = blas
+    with _PIN_LOCK:
+        if not _PIN["holders"]:
+            _PIN["threads"] = get()
+            put(1)
+        _PIN["holders"] += 1
+    try:
+        yield True
+    finally:
+        with _PIN_LOCK:
+            _PIN["holders"] -= 1
+            if not _PIN["holders"]:
+                put(_PIN["threads"])
 
 
 def as_f32(x) -> np.ndarray:
@@ -107,8 +155,8 @@ def transposed_output_hw(hw, kernel, stride, dilation, padding) -> tuple[int, in
 
 def conv2d(x: np.ndarray, p: ConvParams, out=None) -> np.ndarray:
     """Exact cross-correlation of a (N,C,H,W) tensor with p.kernel, into a C-contiguous
-    ``out`` if given."""
-    x = as_f32(x)
+    ``out`` if given.  *x* may have any strides (a band of another tensor's rows)."""
+    x = np.asarray(x, dtype=np.float32)
     _require_nchw(x)
     n, c, h, w = x.shape
     oc, ic, kh, kw = p.kernel.shape
@@ -123,22 +171,37 @@ def conv2d(x: np.ndarray, p: ConvParams, out=None) -> np.ndarray:
             f"kernel {tuple(p.kernel.shape)} does not fit input {tuple(x.shape)} "
             f"(stride={p.stride}, dilation={p.dilation}, padding={p.padding})"
         )
-    if ph or pw:
-        x, src = scratch("conv.pad", (n, c, h + 2 * ph, w + 2 * pw)), x
-        x[:, :, :ph] = x[:, :, h + ph:] = x[:, :, :, :pw] = x[:, :, :, w + pw:] = 0
-        x[:, :, ph:ph + h, pw:pw + w] = src
     out = np.empty((n, oc, oh, ow), dtype=np.float32) if out is None else out
+    # per frame, GEMMs of (oc x K) . (K x rows*ow); an unpadded 1x1 stride-1 conv's columns
+    # are its input rows, any other conv builds a band's zero-padded input rows and columns
+    # in this thread's buffers.  Bands of equal rows, give or take one, are never thin
+    # enough for BLAS to take another kernel (with other bits), so the bits depend on
+    # neither batch nor band
+    k, padded = c * kh * kw, bool(ph or pw)
+    direct = kh * kw * sh * sw == 1 and not padded
+    rows = oh if direct else max(1, CONV_BAND // (n * k * ow))
+    rows = -(-oh // -(-oh // rows))
+    span = (rows - 1) * sh + dh * (kh - 1) + 1  # the input rows a band reads
+    if padded:  # then x is a band's zero-padded input rows, filled band by band
+        src, x = x, scratch("conv.pad", (n, c, span, w + 2 * pw))
+        x[:, :, :, :pw] = x[:, :, :, w + pw:] = 0
     sn, sc, srh, srw = x.strides
-    # one GEMM per frame, (oc x K) . (K x oh*ow), so a frame's bits do not depend on its
-    # batch; a 1x1 stride-1 conv's columns are its input rows
-    k, direct = c * kh * kw, kh * kw * sh * sw == 1
     windows = np.lib.stride_tricks.as_strided(
-        x, shape=(n, c, kh, kw, oh, ow),
+        x, shape=(n, c, kh, kw, rows if padded else oh, ow),
         strides=(sn, sc, dh * srh, dw * srw, sh * srh, sw * srw), writeable=False)
-    cols = windows.reshape(n, k, oh * ow) if direct else scratch("temp", (n, k, oh * ow))
-    if not direct:
-        np.copyto(cols.reshape(windows.shape), windows)
-    np.matmul(p.kernel.reshape(oc, k), cols, out=out.reshape(n, oc, -1))
+    for i in range(0, oh, rows):
+        r = min(rows, oh - i)
+        if padded:  # padded rows top..top+span, those of src between lo and hi
+            top = i * sh - ph
+            lo, hi = min(span, max(0, -top)), max(0, min(span, h - top))
+            x[:, :, :lo] = x[:, :, hi:] = 0
+            x[:, :, lo:hi, pw:pw + w] = src[:, :, top + lo:top + hi]
+        band = windows[:, :, :, :, :r] if padded else windows[:, :, :, :, i:i + r]
+        cols = band.reshape(n, k, r * ow) if direct else scratch("temp", (n, k, r * ow))
+        if not direct:
+            np.copyto(cols.reshape(band.shape), band)
+        dst = out.reshape(n, oc, -1)[:, :, i * ow:(i + r) * ow]  # a view: out is C-contiguous
+        np.matmul(p.kernel.reshape(oc, k), cols, out=dst)
     return out
 
 
@@ -177,8 +240,9 @@ def transposed_conv2d(x: np.ndarray, p: ConvParams, out=None) -> np.ndarray:
 
 def maxpool2x2_with_indices(x: np.ndarray, out=None, argmax=None, indices=True) -> tuple:
     """2x2/stride-2 max pooling into ``out`` if given; returns (values, argmax).  argmax
-    holds, per pooled element, the int64 flat position (h * W + w) of its winning cell in
-    the pre-pool plane, written into ``argmax`` if given; with ``indices=False`` it is None.
+    holds, per pooled element, the flat position (h * W + w) of its winning cell in the
+    pre-pool plane, as int64 or written into ``argmax`` (of any integer dtype that holds
+    H * W) if given; with ``indices=False`` it is None.
 
     Odd trailing rows/columns are treated as padded with -inf, so pooling is
     well defined for any spatial size.  Ties pick the first cell in row-major
@@ -210,8 +274,9 @@ def maxpool2x2_with_indices(x: np.ndarray, out=None, argmax=None, indices=True) 
     if not indices:
         return top, None
     # mode="clip" writes straight into argmax, where "raise" would buffer
-    flat = np.take(np.array([0, 1, w, w + 1], dtype=np.int64), loc, out=argmax, mode="clip")
-    flat += 2 * w * np.arange(h2, dtype=np.int64)[:, None] + 2 * np.arange(w2, dtype=np.int64)
+    dt = np.int64 if argmax is None else argmax.dtype
+    flat = np.take(np.array([0, 1, w, w + 1], dtype=dt), loc, out=argmax, mode="clip")
+    flat += 2 * w * np.arange(h2, dtype=dt)[:, None] + 2 * np.arange(w2, dtype=dt)
     return top, flat
 
 
@@ -277,15 +342,16 @@ def prelu(x, slope, out=None) -> np.ndarray:
 def batchnorm_add_prelu(x, bn=None, main=None, slope=None, out=None) -> np.ndarray:
     """x * scale + shift for bn = (scale, shift), then main + x (+0.0 past main's channels,
     as a zero-padded main adds), then PReLU, each step optional and rounded as alone, a
-    block of channels at a time, into ``out`` if given (may be x).  bn and slope are the
-    per-channel float32 vectors of :func:`norm_vectors`.  PReLU is max(x * slope, x) if
-    every slope is in (0, 1] (numpy returns the second operand on a tie, the first if
-    NaN), else the exact max(x, -0.0) + min(0, x) * slope."""
+    block of channels at a time, into ``out`` if given (may be x, or hold main as its
+    leading channels).  bn and slope are the per-channel float32 vectors of
+    :func:`norm_vectors`.  PReLU is max(x * slope, x) if every slope is in (0, 1] (numpy
+    returns the second operand on a tie, the first if NaN), else the exact max(x, -0.0) +
+    min(0, x) * slope."""
     x = as_f32(x)
     _require_nchw(x)
-    y, c = x.copy() if out is None else out, x.shape[1]
-    if out is not None and out is not x:
-        np.copyto(out, x)
+    y, c = np.empty_like(x) if out is None else out, x.shape[1]
+    # where out holds main, each block of x waits in "temp" until main's block is read
+    staged = main is not None and np.may_share_memory(main, y)
     if main is not None and (main.shape[1] > c or main[:, :0].shape != x[:, :0].shape):
         raise ShapeError(f"main {tuple(main.shape)} does not fit {tuple(x.shape)}")
     if any(getattr(v, "dtype", None) != np.float32 or np.shape(v) != (c,)
@@ -295,13 +361,16 @@ def batchnorm_add_prelu(x, bn=None, main=None, slope=None, out=None) -> np.ndarr
     two_pass = slope is not None and np.all((slope > 0) & (slope <= 1))
     step = max(1, PRELU_BLOCK // x[:, :1].size)  # a block's temporaries stay in cache
     for b in (slice(i, i + step) for i in range(0, c, step)):
-        yb = y[:, b]
+        xb, yb = x[:, b], y[:, b]
         if scale is not None:
-            np.add(np.multiply(yb, scale[b, None, None], out=yb), shift[b, None, None], out=yb)
+            t = scratch("temp", xb.shape) if staged else yb
+            xb = np.add(np.multiply(xb, scale[b, None, None], out=t), shift[b, None, None], out=t)
         if main is not None:
             k = main[:, b].shape[1]
-            np.add(main[:, b], yb[:, :k], out=yb[:, :k])
-            np.add(0.0, yb[:, k:], out=yb[:, k:])
+            np.add(main[:, b], xb[:, :k], out=yb[:, :k])
+            np.add(0.0, xb[:, k:], out=yb[:, k:])
+        elif scale is None and y is not x:
+            np.copyto(yb, xb)
         if two_pass:
             np.maximum(np.multiply(yb, slope[b, None, None], out=scratch("temp", yb.shape)), yb,
                        out=yb)

@@ -1,6 +1,10 @@
 import hashlib
+import itertools
 import json
+import os
 import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,6 +26,11 @@ FULL_SIZE_TRACE = (
     + [(64, 88, 160)] * 3
 )
 HEAD_OUT = {"seg": 1, "haf": 1, "vaf": 2}
+
+# a batch runs its frames on threads only where the BLAS thread count can be pinned
+FRAME_THREADS = min(4, len(os.sched_getaffinity(0))) if T._openblas() is not None else 1
+needs_frame_threads = pytest.mark.skipif(
+    FRAME_THREADS < 2, reason="needs two usable cores and numpy's bundled OpenBLAS")
 
 
 def test_build_enet21_row_structure():
@@ -224,11 +233,13 @@ def test_forward_matches_reference_oracle(shared_heads, batch):
 
 @pytest.mark.parametrize("shared_heads", [False, True])
 def test_forward_batch_bytes_equal_single_frames(shared_heads):
-    # every frame of a batch runs the same kernels as it would alone, so a
-    # batched forward can share the single-frame reference outputs
+    # every frame of a batch runs the same kernels as it would alone, on a frame thread
+    # with one BLAS thread where a frame alone has the default count, so a batched
+    # forward can share the single-frame reference outputs; at 352x640 every conv and
+    # expand runs in several bands
     spec = arch.build_enet21(shared_heads=shared_heads)
     store = arch.random_weights(spec, seed=5)
-    img = np.random.default_rng(7).random((3, 3, 32, 48), dtype=np.float32)
+    img = np.random.default_rng(7).random((3, 3, 352, 640), dtype=np.float32)
     batched = arch.forward(spec, store, img)
     for i in range(3):
         for got, alone in zip(batched, arch.forward(spec, store, img[i:i + 1])):
@@ -251,11 +262,12 @@ def test_forward_frame_bytes_ignore_a_poisoned_neighbour(shared_heads):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_forward_peak_memory_is_one_frame():
+def test_forward_peak_memory_is_one_frame(monkeypatch):
+    # each thread runs its frames one at a time, so a batch peaks as one frame per thread
+    # does: N=4 as N = min(4, frame threads) with threads, as N=1 with no BLAS setter
     spec = arch.build_enet21()
     store = arch.random_weights(spec, seed=5)
     img = np.random.default_rng(9).random((4, 3, 64, 96), dtype=np.float32)
-    arch.forward(spec, store, img[:1])  # warm any lazy set-up outside the trace
 
     def peak(batch):
         tracemalloc.start()
@@ -265,8 +277,12 @@ def test_forward_peak_memory_is_one_frame():
         finally:
             tracemalloc.stop()
 
-    one, four = peak(img[:1]), peak(img)
-    assert four <= 1.25 * one, (one, four)
+    arch.forward(spec, store, img)  # warm every frame thread's buffers outside the trace
+    threaded = peak(img[:FRAME_THREADS]), peak(img)
+    monkeypatch.setattr(T, "_openblas", lambda: None)
+    serial = peak(img[:1]), peak(img)
+    assert threaded[1] <= 1.25 * threaded[0], threaded
+    assert serial[1] <= 1.25 * serial[0], serial
 
 
 # sha256 of the seg, haf and vaf bytes of a 2x3x64x96 forward (weight seed 5,
@@ -282,8 +298,7 @@ FORWARD_DIGESTS = {  # (shared heads, slope)
 }
 
 
-@pytest.mark.parametrize("shared_heads, slope", FORWARD_DIGESTS)
-def test_forward_bytes_pinned(shared_heads, slope):
+def _forward_digest(shared_heads, slope):
     spec = arch.build_enet21(shared_heads=shared_heads)
     store = {name: np.full_like(w, slope) if name.endswith(".slope") else w
              for name, w in arch.random_weights(spec, seed=5).items()}
@@ -292,7 +307,21 @@ def test_forward_bytes_pinned(shared_heads, slope):
     for out in arch.forward(spec, store, img):
         assert np.isfinite(out).all()
         h.update(out.tobytes())
-    assert h.hexdigest() == FORWARD_DIGESTS[shared_heads, slope]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("shared_heads, slope", FORWARD_DIGESTS)
+def test_forward_bytes_pinned(shared_heads, slope):
+    assert _forward_digest(shared_heads, slope) == FORWARD_DIGESTS[shared_heads, slope]
+
+
+@pytest.mark.parametrize("band", [2**14, 2**15])
+def test_forward_bytes_pinned_at_other_conv_bands(band, monkeypatch):
+    # at 64x96 every conv fits one band of CONV_BAND; these cut the 3x3 convs into bands
+    # of 4 (2**14) or 8 rows (2**15)
+    monkeypatch.setattr(T, "CONV_BAND", band)
+    for (shared_heads, slope), digest in FORWARD_DIGESTS.items():
+        assert _forward_digest(shared_heads, slope) == digest
 
 
 def _forward_convs(monkeypatch, img):
@@ -311,33 +340,32 @@ def _forward_convs(monkeypatch, img):
 
 @pytest.mark.parametrize("band", [2**12, 2**16])
 def test_banded_conv2d_bytes_equal_one_gemm_per_frame(band, monkeypatch):
-    # every conv geometry of a 352x640 forward, into out= and into a new array, each
-    # call finding "temp" left by another kernel at the size of a band of one row
-    # (2**12) or a few rows (2**16) and full of NaN
+    # every conv geometry of a 352x640 forward, cut into bands of one row (2**12) or a few
+    # rows (2**16) instead of CONV_BAND, into out= and into a new array, each call finding
+    # "temp" and "conv.pad" left by another kernel at the size of a band and full of NaN
     img = np.random.default_rng(4).standard_normal((1, 3, 352, 640)).astype(np.float32)
     calls = _forward_convs(monkeypatch, img)
     assert len(calls) >= 10
+    monkeypatch.setattr(T, "CONV_BAND", band)
     for x, p in calls.values():
         want = conv2d_bits_ref(x, p.kernel, p.stride, p.dilation, p.padding)
         out = np.full_like(want, np.nan)
-        monkeypatch.setattr(T._SCRATCH, "temp", np.full(band, np.nan, np.float32), raising=False)
+        for role in ("temp", "conv.pad"):
+            monkeypatch.setattr(T._SCRATCH, role, np.full(band, np.nan, np.float32), raising=False)
         assert T.conv2d(x, p, out=out) is out
-        monkeypatch.setattr(T._SCRATCH, "temp", np.full(band, np.nan, np.float32))
+        for role in ("temp", "conv.pad"):
+            monkeypatch.setattr(T._SCRATCH, role, np.full(band, np.nan, np.float32))
         assert out.tobytes() == T.conv2d(x, p).tobytes() == want.tobytes()
 
 
-def test_forward_thread_buffers_hold_the_largest_convs_columns(monkeypatch):
-    # one GEMM per frame: "temp" is the largest conv's im2col columns (7.73 MiB, for the
-    # 3x3 16->16 convs at 88x160), and a thread's buffers total 24.1 MiB
+def test_forward_thread_buffers_total_13_mib_with_one_band_of_temp():
+    # conv2d builds a band of padding and columns at a time, a residual row works in
+    # place and its expand goes a band of channels at a time through "ext0", and the kept
+    # pool indices are int32: a fresh thread keeps two block buffers and 11.0 MiB in all
+    # (24.1 MiB with one GEMM per frame, three block buffers and int64 indices)
     spec = arch.build_enet21()
     store = arch.random_weights(spec, seed=5)
     img = np.random.default_rng(4).standard_normal((1, 3, 352, 640)).astype(np.float32)
-    cols = []
-    for x, p in _forward_convs(monkeypatch, img).values():
-        _, c, kh, kw = p.kernel.shape
-        if kh * kw * p.stride[0] * p.stride[1] > 1:  # a 1x1 stride-1 conv reads its input
-            oh, ow = T.conv_output_hw(x.shape[2:], (kh, kw), p.stride, p.dilation, p.padding)
-            cols.append(len(x) * c * kh * kw * oh * ow * 4)
 
     def buffers():  # on a fresh thread, whose buffers start empty
         arch.forward(spec, store, img)
@@ -345,8 +373,9 @@ def test_forward_thread_buffers_hold_the_largest_convs_columns(monkeypatch):
 
     with ThreadPoolExecutor(1) as pool:
         sizes = pool.submit(buffers).result(timeout=120)
-    assert sizes["temp"] == max(cols) == 16 * 9 * 88 * 160 * 4
-    assert sum(sizes.values()) <= 24.5 * 2**20, sum(sizes.values()) / 2**20
+    assert sizes["temp"] <= 4 * T.CONV_BAND
+    assert sorted(role for role in sizes if role.startswith("block")) == ["block0", "block1"]
+    assert sum(sizes.values()) <= 13 * 2**20, sum(sizes.values()) / 2**20
 
 
 def test_warm_forward_traces_under_half_the_per_call_peak():
@@ -382,6 +411,93 @@ def test_forward_threads_and_later_calls_leave_maps_alone():
     for maps, copies, other in zip(serial, kept, threaded):
         for got, want, again in zip(maps, copies, other):
             assert got.tobytes() == want.tobytes() == again.tobytes()
+
+
+@needs_frame_threads
+def test_batched_forward_holds_blas_at_one_thread_and_restores_it(monkeypatch):
+    spec = arch.build_enet21()
+    store = arch.random_weights(spec, seed=5)
+    img = np.random.default_rng(2).standard_normal((4, 3, 32, 48)).astype(np.float32)
+    get, conv = T._openblas()[0], T.conv2d
+    before, seen = get(), set()
+
+    def spy(x, p, out=None):
+        seen.add((threading.get_ident(), get()))
+        return conv(x, p, out=out)
+
+    monkeypatch.setattr(T, "conv2d", spy)
+    arch.forward(spec, store, img)
+    assert get() == before
+    assert {count for _, count in seen} == {1}
+    assert len({thread for thread, _ in seen}) == FRAME_THREADS
+    seen.clear()
+    arch.forward(spec, store, img[:1])  # one frame: the caller alone, BLAS untouched
+    assert seen == {(threading.get_ident(), before)} and get() == before
+
+
+@needs_frame_threads
+@pytest.mark.parametrize("raiser", ["caller", "frame thread"])
+def test_blas_thread_count_restored_after_a_frame_raises(raiser, monkeypatch):
+    spec = arch.build_enet21()
+    store = arch.random_weights(spec, seed=5)
+    img = np.random.default_rng(3).standard_normal((4, 3, 32, 48)).astype(np.float32)
+    want = arch.forward(spec, store, img)
+    get, conv, calls = T._openblas()[0], T.conv2d, itertools.count(1)
+    caller = threading.get_ident()
+    before, seen = get(), []
+
+    def third_raises(x, p, out=None):  # the third conv call on the caller or on the others
+        seen.append(get())
+        if (threading.get_ident() == caller) == (raiser == "caller") and next(calls) == 3:
+            raise RuntimeError("third conv")
+        return conv(x, p, out=out)
+
+    monkeypatch.setattr(T, "conv2d", third_raises)
+    with pytest.raises(RuntimeError, match="third conv"):
+        arch.forward(spec, store, img)
+    ran = len(seen)
+    assert get() == before and set(seen) == {1}
+    time.sleep(0.2)
+    assert len(seen) == ran  # every frame had stopped when the call raised
+    monkeypatch.undo()
+    for got, again in zip(want, arch.forward(spec, store, img)):  # the threads live on
+        assert got.tobytes() == again.tobytes()
+
+
+@needs_frame_threads
+def test_concurrent_batches_restore_the_blas_thread_count():
+    spec = arch.build_enet21()
+    net = arch.prepare(spec, arch.random_weights(spec, seed=5))
+    imgs = np.random.default_rng(4).standard_normal((6, 4, 3, 32, 48)).astype(np.float32)
+    get = T._openblas()[0]
+    before, serial = get(), [net(img) for img in imgs]
+    assert get() == before
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-kernel
+    try:
+        # batches from more callers than cores, their pins overlapping
+        with ThreadPoolExecutor(3) as pool:
+            threaded = list(pool.map(net, imgs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert get() == before
+    for maps, other in zip(serial, threaded):
+        for got, again in zip(maps, other):
+            assert got.tobytes() == again.tobytes()
+
+
+def test_batch_without_a_blas_setter_runs_on_the_caller_alone(monkeypatch):
+    spec = arch.build_enet21()
+    store = arch.random_weights(spec, seed=5)
+    img = np.random.default_rng(5).standard_normal((3, 3, 32, 48)).astype(np.float32)
+    want = arch.forward(spec, store, img)
+    threads, conv = set(), T.conv2d
+    monkeypatch.setattr(T, "_openblas", lambda: None)
+    monkeypatch.setattr(T, "conv2d", lambda x, p, out=None: (
+        threads.add(threading.get_ident()) or conv(x, p, out)))
+    for got, again in zip(want, arch.forward(spec, store, img)):
+        assert got.tobytes() == again.tobytes()
+    assert threads == {threading.get_ident()}
 
 
 def test_forward_rejects_empty_batch():
@@ -463,10 +579,11 @@ def test_prepare_validates_once_and_kernels_are_looked_up_per_call(monkeypatch):
     for _ in range(3):
         net(img)
     assert len(checks) == 1
-    per_frame = []
+    per_frame = []  # one call per conv unit, an expand's one per band of its input's width
     arch.walk(spec, None, lambda plan, head, _: per_frame.extend(
-        s for s in plan.ext + (plan.main_conv,) if s is not None and s.op == "conv"))
-    assert len(convs) == 3 * len(img) * len(per_frame)
+        -(-s.out_ch // s.in_ch) if s.name.endswith(".expand") else 1
+        for s in plan.ext + (plan.main_conv,) if s is not None and s.op == "conv"))
+    assert len(convs) == 3 * len(img) * sum(per_frame)
 
 
 @pytest.mark.parametrize("slot, bad", [("bottleneck2.3.main.kernel", None),

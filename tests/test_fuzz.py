@@ -251,6 +251,11 @@ def test_batchnorm_add_prelu_bytes_equal_separate_passes(x, block, data):
         y = x.copy()
         assert T.batchnorm_add_prelu(y, *args, out=y) is y
         outs = (T.batchnorm_add_prelu(x, *args), y)
+        if main is not None:  # into an out that holds main as its leading channels
+            held = np.zeros_like(x)
+            held[:, :k] = main
+            assert T.batchnorm_add_prelu(x, args[0], held[:, :k], slope, out=held) is held
+            outs += (held,)
     # where two NaNs meet in a multiply or an add, numpy's loops return either one,
     # by position in the loop, so a NaN's payload is left open here; the PReLU
     # properties above pin the payload that one NaN operand carries through
@@ -291,10 +296,11 @@ def test_values_only_maxpool_bytes_equal_maxpool(x):
     want, idx = T.maxpool2x2_with_indices(x)
     top, none = T.maxpool2x2_with_indices(x, indices=False)
     assert none is None and same_bits(top, want)
-    out, argmax = np.empty_like(want), np.empty(want.shape, np.int64)
-    top, got = T.maxpool2x2_with_indices(x, out, argmax)
-    assert top is out and got is argmax
-    assert same_bits(out, want) and same_bits(argmax, idx)
+    for dtype in (np.int64, np.int32):  # the forward keeps its indices as int32
+        out, argmax = np.empty_like(want), np.empty(want.shape, dtype)
+        top, got = T.maxpool2x2_with_indices(x, out, argmax)
+        assert top is out and got is argmax
+        assert same_bits(out, want) and (argmax == idx).all()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
