@@ -20,7 +20,9 @@ alone says what its block does; every reader of a plan branches on it.
 """
 from __future__ import annotations
 
-import contextlib
+import ctypes
+import functools
+import glob
 import math
 import os
 import struct
@@ -362,40 +364,63 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
 # Forward pass
 # --------------------------------------------------------------------------
 
-_POOL_LOCK = threading.Lock()
+_LOCK = threading.Lock()  # held by a batch on threads, for the pool and the BLAS pin
 _POOL: list[ThreadPoolExecutor] = []  # the frame threads, made by the first batch to use them
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or None."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        lib = ctypes.CDLL(path)  # numpy's own copy: loaded already, so not loaded again
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
 
 
 def _map_frames(run, n: int) -> None:
     """Call run(i) for every frame i < n on min(n, usable cores) threads, the caller one of
-    them, while numpy's OpenBLAS is held at one thread; on the caller alone if that is one
-    thread or no BLAS setter is found.  The other threads persist, each keeping its own
+    them.  Such a batch takes the module lock and holds numpy's OpenBLAS at one thread until
+    every frame has stopped, so no idle BLAS thread spins on a core a frame thread needs and
+    concurrent batches take turns.  One thread, or no BLAS setter, runs on the caller alone,
+    with OpenBLAS and the lock untouched.  The other threads persist, each keeping its own
     buffers, so a warm batch allocates none."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(n, cores)
-    with T.one_blas_thread() if workers > 1 else contextlib.nullcontext(False) as pinned:
-        workers = workers if pinned else 1
+    if workers < 2 or (blas := _openblas()) is None:
+        for i in range(n):
+            run(i)
+        return
 
-        def share(j):  # frames j, j + workers, ...
-            for i in range(j, n, workers):
-                run(i)
+    def share(j):  # frames j, j + workers, ...
+        for i in range(j, n, workers):
+            run(i)
 
-        if workers > 1:
-            with _POOL_LOCK:
-                if not _POOL:
-                    _POOL.append(ThreadPoolExecutor(cores - 1, "lanekit-frame"))
-        futures = [_POOL[0].submit(share, j) for j in range(1, workers)]
+    get, put = blas
+    with _LOCK:
+        if not _POOL:
+            _POOL.append(ThreadPoolExecutor(cores - 1, "lanekit-frame"))
+        threads, futures = get(), []
+        put(1)
         try:
+            futures = [_POOL[0].submit(share, j) for j in range(1, workers)]
             share(0)
-        finally:  # no frame runs on once the pin is released
+        finally:  # every frame stops before the count is restored
             wait(futures)
-        for f in futures:
-            f.result()
+            put(threads)
+    for f in futures:
+        f.result()
 
 
-def _run_slot(x, slot: ConvSlot, units, out=None):
-    """One conv unit into *out* (a workspace role, an array, or None for a new array),
-    then its batchnorm and PReLU, in one pass."""
+def _run_slot(x, slot: ConvSlot, units, out):
+    """One conv unit into *out* (a workspace role or an array), then its batchnorm and
+    PReLU, in one pass."""
     conv, out_hw = ((T.conv2d, T.conv_output_hw) if slot.op == "conv"
                     else (T.transposed_conv2d, T.transposed_output_hw))
     if isinstance(out, str):
@@ -507,22 +532,23 @@ def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
     def network(image: np.ndarray):
         """Run the network; returns (seg_logits, haf_map, vaf_map).
 
-        image is (N, 3, H, W) with H, W divisible by 8.  Each frame runs alone, with its
-        own pool stack, in buffers that its thread keeps between calls (about 11 MB at
-        640x352), and writes its maps straight into the returned arrays.  A batch of N >= 2
-        runs its frames on min(N, usable cores) threads, the caller one of them, with
-        numpy's OpenBLAS held at one thread for the call, and on the caller alone if no
-        BLAS setter is found.  So peak memory is one frame's activations per thread,
-        whatever N is, and a warm frame allocates none of them.  Every kernel keeps a
-        frame's bits independent of its batch, its thread and the BLAS thread count, so
-        the maps equal those of each frame run alone.  No returned map shares memory with
-        those buffers.
+        image is (N, 3, H, W) with no zero-sized dim and H, W divisible by 8.  Each frame
+        runs alone, with its own pool stack, in buffers that its thread keeps between calls
+        (about 11 MB at 640x352), and writes its maps straight into the returned arrays.
+        A batch of N >= 2 runs its frames on min(N, usable cores) threads, taking turns with
+        other batches, and N = 1 runs on the caller alone (:func:`_map_frames`).  So peak
+        memory is one frame's activations per thread, whatever N is, and a warm frame
+        allocates none of them.  Every kernel keeps a frame's bits independent of its batch,
+        its thread and the BLAS thread count, so the maps equal those of each frame run
+        alone.  No returned map shares memory with those buffers.
         """
         image = T.as_f32(image)
         if image.ndim == 3:
             image = image[None]
         if image.ndim != 4 or image.shape[1] != 3:
             raise ShapeError(f"image must be (N,3,H,W), got {tuple(image.shape)}")
+        if not all(image.shape):
+            raise ShapeError(f"image has a zero-sized dim: {tuple(image.shape)}")
         if image.shape[2] % 8 or image.shape[3] % 8:
             raise ShapeError(f"image spatial dims {image.shape[2:]} not divisible by 8")
         maps, lock = {}, threading.Lock()
@@ -542,8 +568,7 @@ def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
 
             walk(spec, image[i:i + 1], step, lambda layer, _: plans[layer.name])
 
-        # an empty batch still runs once, so conv2d names its zero-sized dim
-        _map_frames(run, max(len(image), 1))
+        _map_frames(run, len(image))
         return tuple(maps[name] for name in ("seg", "haf", "vaf"))
 
     return network

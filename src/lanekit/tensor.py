@@ -5,16 +5,12 @@ bit-identical outputs, never a view of the :func:`scratch` buffers that keep tem
 between calls.  There is no autograd, no GPU path and no implicit broadcasting; shape
 mismatches raise :class:`~lanekit.errors.ShapeError` naming both shapes.
 
-Tensors are stored row-major, channel-major within batch.  The `.aft` file
-format used throughout the toolkit is defined by :func:`save_tensor` /
-:func:`load_tensor`.
+Tensors are stored row-major, channel-major within batch.  The `.aft` file format used
+throughout the toolkit is defined by :func:`save_tensor` / :func:`load_tensor`.  No kernel
+starts a thread or sets the BLAS thread count: that is :mod:`lanekit.arch`'s to do.
 """
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import glob
 import math
 import os
 import struct
@@ -34,8 +30,6 @@ BN_PARTS = ("gamma", "beta", "mean", "var")
 PRELU_BLOCK = 1 << 17  # float32 values: 512 KiB, a quarter of a 2 MiB L2 cache
 CONV_BAND = 1 << 18  # im2col column elements per GEMM: 1 MiB of float32
 _SCRATCH = threading.local()
-_PIN_LOCK = threading.Lock()
-_PIN = {"holders": 0, "threads": 0}  # callers inside one_blas_thread, the count to restore
 
 
 def scratch(role: str, shape, dtype=np.float32) -> np.ndarray:
@@ -44,47 +38,6 @@ def scratch(role: str, shape, dtype=np.float32) -> np.ndarray:
     if role not in bufs or bufs[role].size < size:
         bufs[role] = np.empty(size, dtype)
     return bufs[role][:size].reshape(shape)
-
-
-@functools.cache
-def _openblas():
-    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or None."""
-    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
-        lib = ctypes.CDLL(path)  # numpy's own copy: loaded already, so not loaded again
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                     "openblas_{}_num_threads"):
-            get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Hold numpy's OpenBLAS at one thread inside the block, so that threads which each
-    run their own GEMMs leave no BLAS thread spinning on a core they need.  The last of
-    concurrent holders to leave restores the count the first one found.  Yields False,
-    holding nothing, if no setter is found."""
-    blas = _openblas()
-    if blas is None:
-        yield False
-        return
-    get, put = blas
-    with _PIN_LOCK:
-        if not _PIN["holders"]:
-            _PIN["threads"] = get()
-            put(1)
-        _PIN["holders"] += 1
-    try:
-        yield True
-    finally:
-        with _PIN_LOCK:
-            _PIN["holders"] -= 1
-            if not _PIN["holders"]:
-                put(_PIN["threads"])
 
 
 def as_f32(x) -> np.ndarray:

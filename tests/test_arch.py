@@ -28,9 +28,20 @@ FULL_SIZE_TRACE = (
 HEAD_OUT = {"seg": 1, "haf": 1, "vaf": 2}
 
 # a batch runs its frames on threads only where the BLAS thread count can be pinned
-FRAME_THREADS = min(4, len(os.sched_getaffinity(0))) if T._openblas() is not None else 1
+FRAME_THREADS = min(4, len(os.sched_getaffinity(0))) if arch._openblas() is not None else 1
 needs_frame_threads = pytest.mark.skipif(
     FRAME_THREADS < 2, reason="needs two usable cores and numpy's bundled OpenBLAS")
+
+
+@pytest.fixture
+def blas_get():
+    """OpenBLAS's thread-count getter, the count set to 2 for the test and put back after
+    it, so a count that an earlier batch left at 1 cannot hide a pin that never restores."""
+    get, put = arch._openblas()
+    was = get()
+    put(2)
+    yield get
+    put(was)
 
 
 def test_build_enet21_row_structure():
@@ -279,7 +290,7 @@ def test_forward_peak_memory_is_one_frame(monkeypatch):
 
     arch.forward(spec, store, img)  # warm every frame thread's buffers outside the trace
     threaded = peak(img[:FRAME_THREADS]), peak(img)
-    monkeypatch.setattr(T, "_openblas", lambda: None)
+    monkeypatch.setattr(arch, "_openblas", lambda: None)
     serial = peak(img[:1]), peak(img)
     assert threaded[1] <= 1.25 * threaded[0], threaded
     assert serial[1] <= 1.25 * serial[0], serial
@@ -414,11 +425,11 @@ def test_forward_threads_and_later_calls_leave_maps_alone():
 
 
 @needs_frame_threads
-def test_batched_forward_holds_blas_at_one_thread_and_restores_it(monkeypatch):
+def test_batched_forward_holds_blas_at_one_thread_and_restores_it(blas_get, monkeypatch):
     spec = arch.build_enet21()
     store = arch.random_weights(spec, seed=5)
     img = np.random.default_rng(2).standard_normal((4, 3, 32, 48)).astype(np.float32)
-    get, conv = T._openblas()[0], T.conv2d
+    get, conv = blas_get, T.conv2d
     before, seen = get(), set()
 
     def spy(x, p, out=None):
@@ -437,14 +448,13 @@ def test_batched_forward_holds_blas_at_one_thread_and_restores_it(monkeypatch):
 
 @needs_frame_threads
 @pytest.mark.parametrize("raiser", ["caller", "frame thread"])
-def test_blas_thread_count_restored_after_a_frame_raises(raiser, monkeypatch):
+def test_blas_thread_count_restored_after_a_frame_raises(raiser, blas_get, monkeypatch):
     spec = arch.build_enet21()
     store = arch.random_weights(spec, seed=5)
     img = np.random.default_rng(3).standard_normal((4, 3, 32, 48)).astype(np.float32)
-    want = arch.forward(spec, store, img)
-    get, conv, calls = T._openblas()[0], T.conv2d, itertools.count(1)
-    caller = threading.get_ident()
-    before, seen = get(), []
+    get, conv, calls = blas_get, T.conv2d, itertools.count(1)
+    before, want = get(), arch.forward(spec, store, img)
+    caller, seen = threading.get_ident(), []
 
     def third_raises(x, p, out=None):  # the third conv call on the caller or on the others
         seen.append(get())
@@ -465,11 +475,11 @@ def test_blas_thread_count_restored_after_a_frame_raises(raiser, monkeypatch):
 
 
 @needs_frame_threads
-def test_concurrent_batches_restore_the_blas_thread_count():
+def test_concurrent_batches_restore_the_blas_thread_count(blas_get):
     spec = arch.build_enet21()
     net = arch.prepare(spec, arch.random_weights(spec, seed=5))
     imgs = np.random.default_rng(4).standard_normal((6, 4, 3, 32, 48)).astype(np.float32)
-    get = T._openblas()[0]
+    get = blas_get
     before, serial = get(), [net(img) for img in imgs]
     assert get() == before
     interval = sys.getswitchinterval()
@@ -486,13 +496,43 @@ def test_concurrent_batches_restore_the_blas_thread_count():
             assert got.tobytes() == again.tobytes()
 
 
+@needs_frame_threads
+def test_concurrent_batches_take_turns(monkeypatch):
+    # a batch on threads holds the lock until its frames stop, so callers never stack
+    # their frame threads onto more threads than there are cores
+    spec = arch.build_enet21()
+    net = arch.prepare(spec, arch.random_weights(spec, seed=5))
+    imgs = np.random.default_rng(6).standard_normal((6, 4, 3, 32, 48)).astype(np.float32)
+    conv, lock, inside, most = T.conv2d, threading.Lock(), [0], [0]
+
+    def spy(x, p, out=None):
+        with lock:
+            inside[0] += 1
+            most[0] = max(most[0], inside[0])
+        try:
+            return conv(x, p, out=out)
+        finally:
+            with lock:
+                inside[0] -= 1
+
+    monkeypatch.setattr(T, "conv2d", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-kernel
+    try:
+        with ThreadPoolExecutor(3) as pool:
+            list(pool.map(net, imgs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert most[0] <= len(os.sched_getaffinity(0)), most[0]
+
+
 def test_batch_without_a_blas_setter_runs_on_the_caller_alone(monkeypatch):
     spec = arch.build_enet21()
     store = arch.random_weights(spec, seed=5)
     img = np.random.default_rng(5).standard_normal((3, 3, 32, 48)).astype(np.float32)
     want = arch.forward(spec, store, img)
     threads, conv = set(), T.conv2d
-    monkeypatch.setattr(T, "_openblas", lambda: None)
+    monkeypatch.setattr(arch, "_openblas", lambda: None)
     monkeypatch.setattr(T, "conv2d", lambda x, p, out=None: (
         threads.add(threading.get_ident()) or conv(x, p, out)))
     for got, again in zip(want, arch.forward(spec, store, img)):
@@ -500,10 +540,12 @@ def test_batch_without_a_blas_setter_runs_on_the_caller_alone(monkeypatch):
     assert threads == {threading.get_ident()}
 
 
-def test_forward_rejects_empty_batch():
+@pytest.mark.parametrize("shape", [(0, 3, 8, 8), (1, 3, 0, 8), (1, 3, 8, 0)],
+                         ids=["frames", "height", "width"])
+def test_forward_rejects_empty_batch(shape):
     spec = arch.build_enet21()
     with pytest.raises(ShapeError, match="zero-sized"):
-        arch.forward(spec, arch.random_weights(spec), np.zeros((0, 3, 8, 8), np.float32))
+        arch.forward(spec, arch.random_weights(spec), np.zeros(shape, np.float32))
 
 
 @pytest.mark.parametrize("shared_heads", [False, True])
