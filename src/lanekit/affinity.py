@@ -19,12 +19,13 @@ runs row by row, because each row depends on the assignment below it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CodecError, ShapeError
+from .errors import CodecError, FormatError, ShapeError
 from .matching import greedy_pairs, max_assignment
 
 RESIDUAL_BLOCK = 1 << 15   # residual-kernel elements per block: ~3 MB of float64 temporaries
@@ -82,6 +83,8 @@ class DecodedLanes:
     cluster_map: np.ndarray                 # (H, W) int, 0 = unassigned
 
     def to_json(self) -> str:
+        """The lanes and the map size as JSON; a non-finite x raises FormatError naming its
+        lane, where JSON would get NaN or Infinity."""
         h, w = self.cluster_map.shape
         payload = {
             "lanes": [
@@ -90,7 +93,14 @@ class DecodedLanes:
             ],
             "resolution": [h, w],
         }
-        return json.dumps(payload)
+        try:
+            return json.dumps(payload, allow_nan=False)
+        except ValueError:
+            for ln in self.lanes:
+                if not all(math.isfinite(x) for x, _ in ln.points):
+                    raise FormatError(f"lane {ln.lane_id} holds a non-finite x: "
+                                      f"{list(ln.points)}") from None
+            raise
 
 
 class MaskRuns(NamedTuple):

@@ -15,8 +15,9 @@ block is read once, by :func:`_read_block`, for its weight slots, FLOPs and
 output size.  The weight store and both ledgers fold over that reading.
 :func:`prepare` walks the plans once to resolve each row's weights and
 buffer, and the network it returns runs the same walk over those prepared
-rows, frame by frame, with a batch's frames on threads.  A row's ``kind``
-alone says what its block does; every reader of a plan branches on it.
+rows, frame by frame, with a batch's frames, or one frame's rows, on threads.
+A row's ``kind`` alone says what its block does; every reader of a plan
+branches on it.
 """
 from __future__ import annotations
 
@@ -364,8 +365,8 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
 # Forward pass
 # --------------------------------------------------------------------------
 
-_LOCK = threading.Lock()  # held by a batch on threads, for the pool and the BLAS pin
-_POOL: list[ThreadPoolExecutor] = []  # the frame threads, made by the first batch to use them
+_LOCK = threading.Lock()  # held by a call on threads, for the pool and the BLAS pin
+_POOL: list = []  # [the frame threads, their count], made by the first call to use them
 
 
 @functools.cache
@@ -384,58 +385,117 @@ def _openblas():
     return None
 
 
-def _map_frames(run, n: int) -> None:
-    """Call run(i) for every frame i < n on min(n, usable cores) threads, the caller one of
-    them.  Such a batch takes the module lock and holds numpy's OpenBLAS at one thread until
-    every frame has stopped, so no idle BLAS thread spins on a core a frame thread needs and
-    concurrent batches take turns.  One thread, or no BLAS setter, runs on the caller alone,
-    with OpenBLAS and the lock untouched.  The other threads persist, each keeping its own
-    buffers, so a warm batch allocates none."""
+class _Part:
+    """The rows of a frame that one thread runs: units [lo, hi) of its *units* bands of 8
+    input rows, so the same share of every map.  A split frame's parts wait at *barrier*
+    before each padded conv, whose halo reads the projection rows of the parts beside,
+    and take those projections from *shared*, the caller's buffers; every other buffer
+    holds only the part's own rows, in its own thread's buffers.  The default part is a
+    whole frame, which waits for nothing and keeps every buffer in its thread's."""
+
+    def __init__(self, lo=0, hi=1, units=1, barrier=None, shared=None, lock=None):
+        self.lo, self.hi, self.units = lo, hi, units
+        self.barrier, self.shared, self.lock, self.halos = barrier, shared, lock, 0
+
+    def rows(self, h: int) -> slice:
+        """This part's rows of a map of *h* rows."""
+        return slice(self.lo * h // self.units, self.hi * h // self.units)
+
+    def whole(self, h: int) -> int:
+        """The rows of the map of which this part holds *h*."""
+        return h * self.units // (self.hi - self.lo)
+
+    def halo(self, shape) -> tuple[np.ndarray, slice]:
+        """The whole map that a padded conv reads, of which this part's rows are *shape*,
+        and the slice of those rows.  A split frame takes two shared maps in turn, so no
+        part writes one that a part beside may still read."""
+        n, c, h, w = shape
+        shape, rows = (n, c, self.whole(h), w), self.rows(self.whole(h))
+        if self.shared is None:
+            return T.scratch("ext0", shape), rows
+        self.halos += 1
+        with self.lock:  # the first part to ask for a map grows it
+            return T.scratch(f"halo{self.halos % 2}", shape, bufs=self.shared), rows
+
+    def wait(self) -> None:
+        if self.barrier is not None:
+            self.barrier.wait()
+
+
+def _map_frames(run, n: int, units: int, parts: int) -> None:
+    """Call run(i, part) for every frame i < n, a whole frame's part or, for one frame,
+    each of up to *parts* even parts of its *units* bands of 8 input rows.  A batch runs
+    its frames on min(n, usable cores) threads and one frame its parts on min(parts,
+    usable cores), the caller one of them.  Such a call takes the module lock and holds
+    numpy's OpenBLAS at one thread until every thread has stopped, so no idle BLAS thread
+    spins on a core a frame thread needs and concurrent calls take turns.  If a thread
+    raises, the others stop at their next wait and the call raises that first error.  One
+    thread, or no BLAS setter, runs the frames whole on the caller alone, with OpenBLAS and
+    the lock untouched.  The other threads persist, each keeping its own buffers, so a warm
+    call allocates none."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(n, cores)
+    workers = min(n if n > 1 else parts, cores)
     if workers < 2 or (blas := _openblas()) is None:
         for i in range(n):
-            run(i)
+            run(i, _Part())
         return
 
-    def share(j):  # frames j, j + workers, ...
-        for i in range(j, n, workers):
-            run(i)
+    def share(j):
+        try:
+            for i, part in jobs[j]:
+                run(i, part)
+        except BaseException:
+            barrier.abort()  # so no part waits for one that has stopped
+            raise
 
     get, put = blas
     with _LOCK:
         if not _POOL:
-            _POOL.append(ThreadPoolExecutor(cores - 1, "lanekit-frame"))
-        threads, futures = get(), []
+            _POOL.extend((ThreadPoolExecutor(cores - 1, "lanekit-frame"), cores - 1))
+        # a part waits for the others, so each needs a thread: no more than the pool has,
+        # should more cores have become usable since it was made
+        workers = min(workers, _POOL[1] + 1)
+        barrier = threading.Barrier(workers)
+        if n > 1:  # frames j, j + workers, ...
+            jobs = [[(i, _Part()) for i in range(j, n, workers)] for j in range(workers)]
+        else:
+            shared, lock = vars(T._SCRATCH), threading.Lock()
+            jobs = [[(0, _Part(units * j // workers, units * (j + 1) // workers, units,
+                               barrier, shared, lock))] for j in range(workers)]
+        threads, futures, errors = get(), [], []
         put(1)
         try:
             futures = [_POOL[0].submit(share, j) for j in range(1, workers)]
             share(0)
-        finally:  # every frame stops before the count is restored
+        except threading.BrokenBarrierError as e:  # a part on another thread raised
+            errors.append(e)
+        finally:  # every thread stops before the count is restored
             wait(futures)
             put(threads)
-    for f in futures:
-        f.result()
+    errors = [e for e in (f.exception() for f in futures) if e is not None] + errors
+    if errors:  # the first that is not a part stopped by another's error
+        raise min(errors, key=lambda e: isinstance(e, threading.BrokenBarrierError))
 
 
-def _run_slot(x, slot: ConvSlot, units, out):
+def _run_slot(x, slot: ConvSlot, units, out, rows=None):
     """One conv unit into *out* (a workspace role or an array), then its batchnorm and
-    PReLU, in one pass."""
-    conv, out_hw = ((T.conv2d, T.conv_output_hw) if slot.op == "conv"
-                    else (T.transposed_conv2d, T.transposed_output_hw))
+    PReLU, in one pass; *rows*, a slice, are the output rows to run, of a conv that reads
+    the rows of *x* around them, and *out* holds only those."""
     if isinstance(out, str):
-        out = T.scratch(out, (len(x), slot.out_ch, *out_hw(
-            x.shape[2:], slot.kernel, slot.stride, slot.dilation, slot.padding)))
+        shape = T.conv_output_hw if slot.op == "conv" else T.transposed_output_hw
+        oh, ow = shape(x.shape[2:], slot.kernel, slot.stride, slot.dilation, slot.padding)
+        oh = oh if rows is None else rows.stop - rows.start
+        out = T.scratch(out, (len(x), slot.out_ch, oh, ow))
     params, bn, slope = units[slot.name]
-    y = conv(x, params, out=out)
+    y = (T.conv2d(x, params, out, rows) if slot.op == "conv"
+         else T.transposed_conv2d(x, params, out=out))
     return T.batchnorm_add_prelu(y, bn, None, slope, out=y)
 
 
 def _run_expand(x, slot: ConvSlot, units, out, main):
     """A block's last, 1x1 conv unit, then its batchnorm, the add of *main* and its PReLU,
     into *out*, which may hold *main*: as many output channels at a time as *x* has,
-    through the "ext0" buffer that the ext chain has passed, so the conv's output is
-    never held whole."""
+    through this thread's "ext0" buffer, so the conv's output is never held whole."""
     n, _, h, w = x.shape
     for c, params, bn, slope in units[slot.name]:
         band = T.conv2d(x, params, T.scratch("ext0", (n, params.kernel.shape[0], h, w)))
@@ -443,16 +503,18 @@ def _run_expand(x, slot: ConvSlot, units, out, main):
     return out
 
 
-def _run_block(x, plan: BlockPlan, role, units, pools, kept):
+def _run_block(x, plan: BlockPlan, role, units, pools, kept, part: _Part):
     """One row into the block buffer *role*, which holds *x* where the row works in
     place; a pooling row's main branch goes into the leading channels of its output, and
-    its indices are kept only if *kept*."""
+    its indices are kept only if *kept*.  *x* and the output hold only *part*'s rows,
+    except that the initial row reads the whole image."""
     kind, nm, n, c = plan.layer.kind, plan.layer.name, len(x), plan.layer.out_channels
     pooled = (x.shape[2] + 1) // 2, (x.shape[3] + 1) // 2
     if kind == "initial":
-        y, k = T.scratch(role, (n, c, *pooled)), plan.ext[0].out_ch
-        _run_slot(x, plan.ext[0], units, y[:, :k])
-        T.maxpool2x2_with_indices(x, y[:, k:], indices=False)
+        rows, k = part.rows(pooled[0]), plan.ext[0].out_ch
+        y = T.scratch(role, (n, c, rows.stop - rows.start, pooled[1]))
+        _run_slot(x, plan.ext[0], units, y[:, :k], rows)
+        T.maxpool2x2_with_indices(x[:, :, part.rows(x.shape[2])], y[:, k:], indices=False)
         bn, slope = units[nm]
         return T.batchnorm_add_prelu(y, bn, None, slope, y)
     if kind == "down":
@@ -467,9 +529,15 @@ def _run_block(x, plan: BlockPlan, role, units, pools, kept):
         y = main = T.max_unpool2x2(skip, idx, out_hw, T.scratch(role, (n, c, *out_hw)))
     else:
         y, main = T.scratch(role, x.shape), x
-    ext = x
-    for i, slot in enumerate(plan.ext[:-1]):
-        ext = _run_slot(ext, slot, units, f"ext{i}")
+    proj, inner = plan.ext[:2]
+    if inner.padding == (0, 0):  # a 2x2 stride-2 transposed conv reads only its own rows
+        ext = _run_slot(_run_slot(x, proj, units, "ext0"), inner, units, "ext1")
+    else:  # a padded conv reads the rows of the projection around its own
+        hw = T.conv_output_hw(x.shape[2:], proj.kernel, proj.stride, proj.dilation, proj.padding)
+        whole, rows = part.halo((n, proj.out_ch, *hw))
+        _run_slot(x, proj, units, whole[:, :, rows])
+        part.wait()
+        ext = _run_slot(whole, inner, units, "ext1", rows)
     return _run_expand(ext, plan.ext[-1], units, y, main)
 
 
@@ -481,7 +549,7 @@ def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
     an image.  It holds read-only float32 copies of the weights, so later changes to
     *store* do not reach it, and threads may share it, each in buffers of its own."""
     validate_weights(spec, store)
-    plans, units, downs, kept, trunk = {}, {}, [], set(), None
+    plans, units, downs, kept, trunk, depth = {}, {}, [], set(), None, 1
 
     def own(a):
         a = np.array(a, dtype=np.float32)
@@ -500,7 +568,7 @@ def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
                                store[_weight_name(s.name, "slope")] if s.act else slope))
 
     def row(plan: BlockPlan, head, block):  # *block*: the buffer (0 or 1) of the row's input
-        nonlocal trunk
+        nonlocal trunk, depth
         layer, kind, nm = plan.layer, plan.layer.kind, plan.layer.name
         # a row works in place, so a thread keeps two block buffers; a row that changes
         # size, or whose input later heads read too, writes into the other one
@@ -513,6 +581,7 @@ def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
             units[nm], slope = norm(nm, layer.out_channels, True, slope), None
         for s in plan.ext:  # the block's PReLU follows its last conv
             conv(s, slope)
+            depth = max(depth, s.in_ch * math.prod(s.kernel))  # of its GEMMs
         if kind in ("down", "up", "bottleneck"):  # the expand, in bands of its input's width
             e = plan.ext[-1]
             params, (scale, shift), act = units[e.name]
@@ -535,12 +604,15 @@ def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
         image is (N, 3, H, W) with no zero-sized dim and H, W divisible by 8.  Each frame
         runs alone, with its own pool stack, in buffers that its thread keeps between calls
         (about 11 MB at 640x352), and writes its maps straight into the returned arrays.
-        A batch of N >= 2 runs its frames on min(N, usable cores) threads, taking turns with
-        other batches, and N = 1 runs on the caller alone (:func:`_map_frames`).  So peak
-        memory is one frame's activations per thread, whatever N is, and a warm frame
-        allocates none of them.  Every kernel keeps a frame's bits independent of its batch,
-        its thread and the BLAS thread count, so the maps equal those of each frame run
-        alone.  No returned map shares memory with those buffers.
+        A batch of N >= 2 runs its frames on min(N, usable cores) threads, and N = 1 its
+        frame's rows, in even parts of 8-row bands, one part per thread, each call taking
+        turns with the others (:func:`_map_frames`).  A part keeps its own rows of every
+        buffer; only the projections that padded convs read are the frame's, shared.  So
+        peak memory is about one frame's activations per thread, whatever N is, and a warm
+        frame allocates none of them.  Where every map's rows are whole GEMM blocks (a width
+        that is a multiple of 128), every kernel keeps a frame's bits independent of its
+        batch, its parts, its thread and the BLAS thread count, so the maps equal those of
+        each frame run alone.  No returned map shares memory with those buffers.
         """
         image = T.as_f32(image)
         if image.ndim == 3:
@@ -553,28 +625,34 @@ def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
             raise ShapeError(f"image spatial dims {image.shape[2:]} not divisible by 8")
         maps, lock = {}, threading.Lock()
 
-        def run(i):
+        def run(i, part):
             pools: list = []
 
             def step(prepared, head, x):
                 plan, role = prepared
                 if plan.layer.kind != "conv1x1":
-                    return _run_block(x, plan, role, units, pools, kept)
-                with lock:  # the first frame to reach a head's last row makes its map
+                    return _run_block(x, plan, role, units, pools, kept, part)
+                with lock:  # the first thread to reach a head's last row makes its map
                     if head not in maps:
                         maps[head] = np.empty((len(image), plan.layer.out_channels,
-                                               *x.shape[2:]), np.float32)
-                return _run_slot(x, plan.ext[0], units, maps[head][i:i + 1])
+                                               part.whole(x.shape[2]), x.shape[3]), np.float32)
+                out = maps[head][i:i + 1]
+                return _run_slot(x, plan.ext[0], units, out[:, :, part.rows(out.shape[2])])
 
             walk(spec, image[i:i + 1], step, lambda layer, _: plans[layer.name])
 
-        _map_frames(run, len(image))
+        # a frame splits only where its parts' GEMMs give a whole frame's bits: every map's
+        # rows are whole GEMM blocks wide, and each part's rows of the coarsest map (1/8 of
+        # the image) hold at least one conv band of the deepest conv
+        h8, w8 = image.shape[2] // 8, image.shape[3] // 8
+        parts = h8 // max(1, T.CONV_BAND // (depth * w8)) if w8 % T.GEMM_BLOCK == 0 else 1
+        _map_frames(run, len(image), h8, parts)
         return tuple(maps[name] for name in ("seg", "haf", "vaf"))
 
     return network
 
 
 def forward(spec: ArchSpec, store: dict[str, np.ndarray], image: np.ndarray):
-    """Run the network on *image* once: ``prepare(spec, store)(image)``, a batch's frames
-    on threads, each byte-equal to the frame run alone."""
+    """Run the network on *image* once: ``prepare(spec, store)(image)``, a batch's frames,
+    or one frame's rows, on threads, each frame byte-equal to the frame run whole alone."""
     return prepare(spec, store)(image)

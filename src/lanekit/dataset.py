@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -118,15 +119,22 @@ def parse_tusimple(path: str, error_sink: list[str]) -> list[LaneAnnotation]:
 
 
 def serialize_annotation(ann: LaneAnnotation) -> str:
-    """One JSON line in the benchmark schema."""
+    """One JSON line in the benchmark schema; a non-finite x raises FormatError naming its
+    lane, where JSON would get NaN or Infinity."""
     def fmt(x: float):
         return int(x) if float(x).is_integer() else x
 
-    return json.dumps({
-        "lanes": [[fmt(x) for x in lane] for lane in ann.lanes],
-        "h_samples": list(ann.h_samples),
-        "raw_file": ann.raw_file,
-    })
+    try:
+        return json.dumps({
+            "lanes": [[fmt(x) for x in lane] for lane in ann.lanes],
+            "h_samples": list(ann.h_samples),
+            "raw_file": ann.raw_file,
+        }, allow_nan=False)
+    except ValueError:
+        for i, lane in enumerate(ann.lanes):
+            if not all(math.isfinite(x) for x in lane):
+                raise FormatError(f"lane {i} holds a non-finite x: {list(lane)}") from None
+        raise
 
 
 def rasterize(ann: LaneAnnotation, out_res: tuple[int, int] = (MAP_H, MAP_W),

@@ -8,6 +8,9 @@ mismatches raise :class:`~lanekit.errors.ShapeError` naming both shapes.
 Tensors are stored row-major, channel-major within batch.  The `.aft` file format used
 throughout the toolkit is defined by :func:`save_tensor` / :func:`load_tensor`.  No kernel
 starts a thread or sets the BLAS thread count: that is :mod:`lanekit.arch`'s to do.
+:func:`conv2d`, the max pool and the fused batchnorm/add/PReLU pass take a band of another
+array's rows in place, and :func:`conv2d` runs any range of its output rows, reading the
+input rows around it, so threads can each run their own rows of one frame.
 """
 from __future__ import annotations
 
@@ -29,12 +32,17 @@ PRELU_DEFAULT_SLOPE = 0.25
 BN_PARTS = ("gamma", "beta", "mean", "var")
 PRELU_BLOCK = 1 << 17  # float32 values: 512 KiB, a quarter of a 2 MiB L2 cache
 CONV_BAND = 1 << 18  # im2col column elements per GEMM: 1 MiB of float32
+# float32 columns in a block of a BLAS GEMM kernel (one 512-bit register): a GEMM whose
+# columns end inside a block may run its last ones in another kernel, with other bits
+GEMM_BLOCK = 16
 _SCRATCH = threading.local()
+_F32 = np.dtype(np.float32)
 
 
-def scratch(role: str, shape, dtype=np.float32) -> np.ndarray:
-    """*shape* over this thread's grow-only buffer for *role* ("temp": each kernel's own)."""
-    bufs, size = _SCRATCH.__dict__, math.prod(shape)
+def scratch(role: str, shape, dtype=np.float32, bufs=None) -> np.ndarray:
+    """*shape* over the grow-only buffer for *role* in *bufs*, by default this thread's
+    (``vars(_SCRATCH)``; "temp": each kernel's own)."""
+    bufs, size = _SCRATCH.__dict__ if bufs is None else bufs, math.prod(shape)
     if role not in bufs or bufs[role].size < size:
         bufs[role] = np.empty(size, dtype)
     return bufs[role][:size].reshape(shape)
@@ -106,9 +114,11 @@ def transposed_output_hw(hw, kernel, stride, dilation, padding) -> tuple[int, in
     return oh, ow
 
 
-def conv2d(x: np.ndarray, p: ConvParams, out=None) -> np.ndarray:
-    """Exact cross-correlation of a (N,C,H,W) tensor with p.kernel, into a C-contiguous
-    ``out`` if given.  *x* may have any strides (a band of another tensor's rows)."""
+def conv2d(x: np.ndarray, p: ConvParams, out=None, rows=None) -> np.ndarray:
+    """Exact cross-correlation of a (N,C,H,W) tensor with p.kernel: its output rows *rows*
+    (a slice, by default all of them), into ``out`` if given, whose rows and columns are
+    C-contiguous (a C-contiguous array or a band of its rows).  *x* may have any strides
+    (a band of another tensor's rows); the rows of *x* around *rows* are read as well."""
     x = np.asarray(x, dtype=np.float32)
     _require_nchw(x)
     n, c, h, w = x.shape
@@ -124,36 +134,42 @@ def conv2d(x: np.ndarray, p: ConvParams, out=None) -> np.ndarray:
             f"kernel {tuple(p.kernel.shape)} does not fit input {tuple(x.shape)} "
             f"(stride={p.stride}, dilation={p.dilation}, padding={p.padding})"
         )
-    out = np.empty((n, oc, oh, ow), dtype=np.float32) if out is None else out
+    rows = range(oh)[slice(None) if rows is None else rows]
+    if rows.step != 1 or not rows:
+        raise ShapeError(f"output rows {rows} are not a range of the {oh} rows")
+    out = np.empty((n, oc, len(rows), ow), dtype=np.float32) if out is None else out
     # per frame, GEMMs of (oc x K) . (K x rows*ow); an unpadded 1x1 stride-1 conv's columns
     # are its input rows, any other conv builds a band's zero-padded input rows and columns
     # in this thread's buffers.  Bands of equal rows, give or take one, are never thin
     # enough for BLAS to take another kernel (with other bits), so the bits depend on
     # neither batch nor band
     k, padded = c * kh * kw, bool(ph or pw)
-    direct = kh * kw * sh * sw == 1 and not padded
-    rows = oh if direct else max(1, CONV_BAND // (n * k * ow))
-    rows = -(-oh // -(-oh // rows))
-    span = (rows - 1) * sh + dh * (kh - 1) + 1  # the input rows a band reads
+    if kh * kw * sh * sw == 1 and not padded:  # the columns are x's rows: one GEMM
+        cols = x[:, :, rows.start:rows.stop].reshape(n, k, len(rows) * ow)
+        np.matmul(p.kernel.reshape(oc, k), cols, out=out.reshape(n, oc, -1))
+        return out
+    step = max(1, CONV_BAND // (n * k * ow))
+    step = -(-len(rows) // -(-len(rows) // step))
+    span = (step - 1) * sh + dh * (kh - 1) + 1  # the input rows a band reads
     if padded:  # then x is a band's zero-padded input rows, filled band by band
         src, x = x, scratch("conv.pad", (n, c, span, w + 2 * pw))
         x[:, :, :, :pw] = x[:, :, :, w + pw:] = 0
     sn, sc, srh, srw = x.strides
     windows = np.lib.stride_tricks.as_strided(
-        x, shape=(n, c, kh, kw, rows if padded else oh, ow),
+        x, shape=(n, c, kh, kw, step if padded else oh, ow),
         strides=(sn, sc, dh * srh, dw * srw, sh * srh, sw * srw), writeable=False)
-    for i in range(0, oh, rows):
-        r = min(rows, oh - i)
+    for i in range(rows.start, rows.stop, step):
+        r = min(step, rows.stop - i)
         if padded:  # padded rows top..top+span, those of src between lo and hi
             top = i * sh - ph
             lo, hi = min(span, max(0, -top)), max(0, min(span, h - top))
             x[:, :, :lo] = x[:, :, hi:] = 0
             x[:, :, lo:hi, pw:pw + w] = src[:, :, top + lo:top + hi]
         band = windows[:, :, :, :, :r] if padded else windows[:, :, :, :, i:i + r]
-        cols = band.reshape(n, k, r * ow) if direct else scratch("temp", (n, k, r * ow))
-        if not direct:
-            np.copyto(cols.reshape(band.shape), band)
-        dst = out.reshape(n, oc, -1)[:, :, i * ow:(i + r) * ow]  # a view: out is C-contiguous
+        cols = scratch("temp", (n, k, r * ow))
+        np.copyto(cols.reshape(band.shape), band)
+        at = (i - rows.start) * ow
+        dst = out.reshape(n, oc, -1)[:, :, at:at + r * ow]  # a view: out's rows are C-contiguous
         np.matmul(p.kernel.reshape(oc, k), cols, out=dst)
     return out
 
@@ -201,7 +217,7 @@ def maxpool2x2_with_indices(x: np.ndarray, out=None, argmax=None, indices=True) 
     well defined for any spatial size.  Ties pick the first cell in row-major
     window order, which keeps unpooling deterministic.
     """
-    x = as_f32(x)
+    x = np.asarray(x, dtype=np.float32)  # a band of rows stays a view
     _require_nchw(x)
     n, c, h, w = x.shape
     h2, w2 = (h + 1) // 2, (w + 1) // 2
@@ -300,28 +316,31 @@ def batchnorm_add_prelu(x, bn=None, main=None, slope=None, out=None) -> np.ndarr
     :func:`norm_vectors`.  PReLU is max(x * slope, x) if every slope is in (0, 1] (numpy
     returns the second operand on a tie, the first if NaN), else the exact max(x, -0.0) +
     min(0, x) * slope."""
-    x = as_f32(x)
+    x = np.asarray(x, dtype=np.float32)  # a band of rows stays a view
     _require_nchw(x)
     y, c = np.empty_like(x) if out is None else out, x.shape[1]
     # where out holds main, each block of x waits in "temp" until main's block is read
     staged = main is not None and np.may_share_memory(main, y)
-    if main is not None and (main.shape[1] > c or main[:, :0].shape != x[:, :0].shape):
+    if main is not None and (main.shape[1] > c or
+                             main.shape[:1] + main.shape[2:] != x.shape[:1] + x.shape[2:]):
         raise ShapeError(f"main {tuple(main.shape)} does not fit {tuple(x.shape)}")
-    if any(getattr(v, "dtype", None) != np.float32 or np.shape(v) != (c,)
+    if any(getattr(v, "dtype", None) != _F32 or np.shape(v) != (c,)
            for v in (*(bn or ()), slope) if v is not None):
         raise ShapeError(f"batchnorm and slope must be float32 vectors of length {c}")
     scale, shift = bn or (None, None)
-    two_pass = slope is not None and np.all((slope > 0) & (slope <= 1))
-    step = max(1, PRELU_BLOCK // x[:, :1].size)  # a block's temporaries stay in cache
+    two_pass = slope is not None and 0 < slope.min() and slope.max() <= 1  # False if NaN
+    step = max(1, PRELU_BLOCK * c // x.size)  # a block's temporaries stay in cache
     for b in (slice(i, i + step) for i in range(0, c, step)):
         xb, yb = x[:, b], y[:, b]
         if scale is not None:
             t = scratch("temp", xb.shape) if staged else yb
             xb = np.add(np.multiply(xb, scale[b, None, None], out=t), shift[b, None, None], out=t)
         if main is not None:
-            k = main[:, b].shape[1]
-            np.add(main[:, b], xb[:, :k], out=yb[:, :k])
-            np.add(0.0, xb[:, k:], out=yb[:, k:])
+            mb = main[:, b]
+            k = mb.shape[1]
+            np.add(mb, xb[:, :k], out=yb[:, :k])
+            if k < xb.shape[1]:
+                np.add(0.0, xb[:, k:], out=yb[:, k:])
         elif scale is None and y is not x:
             np.copyto(yb, xb)
         if two_pass:

@@ -5,7 +5,7 @@ import pytest
 
 from lanekit import affinity as af
 from lanekit import synth
-from lanekit.errors import CodecError, ShapeError
+from lanekit.errors import CodecError, FormatError, ShapeError
 from lanekit.evaluate import EvalConfig
 
 from oracles import association_error_ref, best_label_agreement_ref, decode_ref, encode_ref
@@ -394,6 +394,15 @@ def test_configs_reject_nan_thresholds(config, field):
 
 def test_decode_config_accepts_smallest_counts():
     af.DecodeConfig(min_cluster_size=1, min_lane_rows=1, max_gap_rows=0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_decoded_lanes_json_rejects_a_non_finite_x_naming_its_lane(bad):
+    lanes = (af.DecodedLane(1, ((3.5, 9), (4.0, 8))), af.DecodedLane(2, ((7.0, 9), (bad, 8))))
+    with pytest.raises(FormatError, match="lane 2 holds a non-finite x"):
+        af.DecodedLanes(lanes, np.zeros((10, 12), np.int32)).to_json()
+    assert json.loads(af.DecodedLanes(lanes[:1], np.zeros((10, 12), np.int32)).to_json()) == {
+        "lanes": [{"id": 1, "points": [[3.5, 9], [4.0, 8]]}], "resolution": [10, 12]}
 
 
 def test_decode_json_schema():

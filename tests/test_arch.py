@@ -257,6 +257,21 @@ def test_forward_batch_bytes_equal_single_frames(shared_heads):
             assert got[i].tobytes() == alone[0].tobytes()
 
 
+@pytest.mark.parametrize("hw", [(352, 640), (16, 24), (64, 96)])
+@pytest.mark.parametrize("shared_heads", [False, True])
+def test_one_frame_bytes_equal_a_batch_of_two(shared_heads, hw):
+    # one 352x640 frame runs its rows in parts on threads, its padded convs reading rows
+    # that other threads wrote; a 16x24 or 64x96 frame is too small to split and runs
+    # whole on the caller; each equals the frame run whole on a frame thread
+    spec = arch.build_enet21(shared_heads=shared_heads)
+    net = arch.prepare(spec, arch.random_weights(spec, seed=5))
+    img = np.random.default_rng(17).standard_normal((2, 3, *hw)).astype(np.float32)
+    batched = net(img)
+    for i in range(2):
+        for got, alone in zip(batched, net(img[i:i + 1])):
+            assert got[i].tobytes() == alone[0].tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("shared_heads", [False, True])
 def test_forward_frame_bytes_ignore_a_poisoned_neighbour(shared_heads):
@@ -336,15 +351,17 @@ def test_forward_bytes_pinned_at_other_conv_bands(band, monkeypatch):
 
 
 def _forward_convs(monkeypatch, img):
-    """{geometry: (input, params)} of every conv2d call in one forward of *img*."""
+    """{geometry: (input, params)} of every conv2d call in one forward of *img*, run whole
+    on the caller, so each conv reads and writes whole maps."""
     spec, calls, conv = arch.build_enet21(), {}, T.conv2d
 
-    def spy(x, p, out=None):
+    def spy(x, p, out=None, rows=None):
         calls.setdefault((x.shape, p.kernel.shape, p.stride, p.dilation, p.padding), (x.copy(), p))
-        return conv(x, p, out=out)
+        return conv(x, p, out, rows)
 
     with monkeypatch.context() as mp:
         mp.setattr(T, "conv2d", spy)
+        mp.setattr(arch, "_openblas", lambda: None)
         arch.forward(spec, arch.random_weights(spec, seed=5), img)
     return calls
 
@@ -369,11 +386,13 @@ def test_banded_conv2d_bytes_equal_one_gemm_per_frame(band, monkeypatch):
         assert out.tobytes() == T.conv2d(x, p).tobytes() == want.tobytes()
 
 
-def test_forward_thread_buffers_total_13_mib_with_one_band_of_temp():
+def test_forward_thread_buffers_total_13_mib_with_one_band_of_temp(monkeypatch):
     # conv2d builds a band of padding and columns at a time, a residual row works in
     # place and its expand goes a band of channels at a time through "ext0", and the kept
-    # pool indices are int32: a fresh thread keeps two block buffers and 11.0 MiB in all
-    # (24.1 MiB with one GEMM per frame, three block buffers and int64 indices)
+    # pool indices are int32: a fresh thread running the frame whole keeps two block
+    # buffers and 11.0 MiB in all (24.1 MiB with one GEMM per frame, three block buffers
+    # and int64 indices).  The caller of a split frame keeps its own rows' share of those
+    # and the two frame-wide projections that padded convs read (8.0 MiB in two parts)
     spec = arch.build_enet21()
     store = arch.random_weights(spec, seed=5)
     img = np.random.default_rng(4).standard_normal((1, 3, 352, 640)).astype(np.float32)
@@ -382,11 +401,14 @@ def test_forward_thread_buffers_total_13_mib_with_one_band_of_temp():
         arch.forward(spec, store, img)
         return {role: buf.nbytes for role, buf in vars(T._SCRATCH).items()}
 
-    with ThreadPoolExecutor(1) as pool:
-        sizes = pool.submit(buffers).result(timeout=120)
-    assert sizes["temp"] <= 4 * T.CONV_BAND
-    assert sorted(role for role in sizes if role.startswith("block")) == ["block0", "block1"]
-    assert sum(sizes.values()) <= 13 * 2**20, sum(sizes.values()) / 2**20
+    for whole in (True, False):
+        with monkeypatch.context() as mp, ThreadPoolExecutor(1) as pool:
+            if whole:
+                mp.setattr(arch, "_openblas", lambda: None)
+            sizes = pool.submit(buffers).result(timeout=120)
+        assert sizes["temp"] <= 4 * T.CONV_BAND
+        assert sorted(role for role in sizes if role.startswith("block")) == ["block0", "block1"]
+        assert sum(sizes.values()) <= 13 * 2**20, sum(sizes.values()) / 2**20
 
 
 def test_warm_forward_traces_under_half_the_per_call_peak():
@@ -426,41 +448,55 @@ def test_forward_threads_and_later_calls_leave_maps_alone():
 
 @needs_frame_threads
 def test_batched_forward_holds_blas_at_one_thread_and_restores_it(blas_get, monkeypatch):
+    # a batch runs its frames on FRAME_THREADS threads and one 352x640 frame its 44 rows of
+    # 1/8 scale, in parts of at least 11 rows (one conv band of its 3x3 convs there), on as
+    # many, each at one BLAS thread.  A frame too small to split (64x128 has 8 rows of 1/8
+    # scale, under one conv band), or one whose rows at 1/8 scale end inside a GEMM block
+    # (75 columns at 600), runs on the caller alone, BLAS untouched
     spec = arch.build_enet21()
-    store = arch.random_weights(spec, seed=5)
-    img = np.random.default_rng(2).standard_normal((4, 3, 32, 48)).astype(np.float32)
+    net = arch.prepare(spec, arch.random_weights(spec, seed=5))
+    rng = np.random.default_rng(2)
+    batch, frame = rng.standard_normal((4, 3, 32, 48)), rng.standard_normal((1, 3, 352, 640))
     get, conv = blas_get, T.conv2d
     before, seen = get(), set()
 
-    def spy(x, p, out=None):
+    def spy(x, p, out=None, rows=None):
         seen.add((threading.get_ident(), get()))
-        return conv(x, p, out=out)
+        return conv(x, p, out, rows)
 
     monkeypatch.setattr(T, "conv2d", spy)
-    arch.forward(spec, store, img)
-    assert get() == before
-    assert {count for _, count in seen} == {1}
-    assert len({thread for thread, _ in seen}) == FRAME_THREADS
-    seen.clear()
-    arch.forward(spec, store, img[:1])  # one frame: the caller alone, BLAS untouched
-    assert seen == {(threading.get_ident(), before)} and get() == before
+    for img in (batch, frame):
+        seen.clear()
+        net(img.astype(np.float32))
+        assert get() == before
+        assert {count for _, count in seen} == {1}
+        assert len({thread for thread, _ in seen}) == FRAME_THREADS
+    for hw in ((16, 24), (64, 128), (352, 600)):
+        seen.clear()
+        net(rng.standard_normal((1, 3, *hw)).astype(np.float32))
+        assert seen == {(threading.get_ident(), before)} and get() == before
 
 
 @needs_frame_threads
-@pytest.mark.parametrize("raiser", ["caller", "frame thread"])
-def test_blas_thread_count_restored_after_a_frame_raises(raiser, blas_get, monkeypatch):
+@pytest.mark.parametrize("raiser, shape", [
+    ("caller", (4, 3, 32, 48)), ("frame thread", (4, 3, 32, 48)),
+    ("caller", (1, 3, 352, 640)), ("frame thread", (1, 3, 352, 640))],
+    ids=["caller", "frame thread", "split-caller", "split-frame thread"])
+def test_blas_thread_count_restored_after_a_frame_raises(raiser, shape, blas_get, monkeypatch):
+    # a batch's frames, or one frame's parts, which wait for each other before every padded
+    # conv: the error raised on one thread stops the others, and the call raises it
     spec = arch.build_enet21()
     store = arch.random_weights(spec, seed=5)
-    img = np.random.default_rng(3).standard_normal((4, 3, 32, 48)).astype(np.float32)
+    img = np.random.default_rng(3).standard_normal(shape).astype(np.float32)
     get, conv, calls = blas_get, T.conv2d, itertools.count(1)
     before, want = get(), arch.forward(spec, store, img)
     caller, seen = threading.get_ident(), []
 
-    def third_raises(x, p, out=None):  # the third conv call on the caller or on the others
+    def third_raises(x, p, out=None, rows=None):  # the third conv on the caller or the others
         seen.append(get())
         if (threading.get_ident() == caller) == (raiser == "caller") and next(calls) == 3:
             raise RuntimeError("third conv")
-        return conv(x, p, out=out)
+        return conv(x, p, out, rows)
 
     monkeypatch.setattr(T, "conv2d", third_raises)
     with pytest.raises(RuntimeError, match="third conv"):
@@ -468,10 +504,64 @@ def test_blas_thread_count_restored_after_a_frame_raises(raiser, blas_get, monke
     ran = len(seen)
     assert get() == before and set(seen) == {1}
     time.sleep(0.2)
-    assert len(seen) == ran  # every frame had stopped when the call raised
+    assert len(seen) == ran  # every thread had stopped when the call raised
     monkeypatch.undo()
     for got, again in zip(want, arch.forward(spec, store, img)):  # the threads live on
         assert got.tobytes() == again.tobytes()
+
+
+@needs_frame_threads
+def test_a_split_frame_raises_the_error_of_the_part_that_raised(blas_get, monkeypatch):
+    # three parts on a fresh pool of two frame threads: the last part raises in its first
+    # conv, and the other two stop at their next wait, each with BrokenBarrierError
+    spec = arch.build_enet21()
+    net = arch.prepare(spec, arch.random_weights(spec, seed=5))
+    img = np.random.default_rng(3).standard_normal((1, 3, 352, 640)).astype(np.float32)
+    get, conv, seen = blas_get, T.conv2d, []
+    before, want = get(), net(img)
+
+    def last_part_raises(x, p, out=None, rows=None):
+        seen.append(rows)
+        if rows is not None and 0 < rows.start and rows.stop == x.shape[2] // p.stride[0]:
+            raise RuntimeError("last part")
+        return conv(x, p, out, rows)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(arch, "_POOL", [])
+    monkeypatch.setattr(T, "conv2d", last_part_raises)
+    try:
+        with pytest.raises(RuntimeError, match="last part"):
+            net(img)
+        ran = len(seen)
+        time.sleep(0.2)
+        assert len(seen) == ran and get() == before
+        assert {(r.start, r.stop) for r in seen if r} == {(0, 56), (56, 116), (116, 176)}
+        monkeypatch.setattr(T, "conv2d", conv)
+        for got, again in zip(want, net(img)):
+            assert got.tobytes() == again.tobytes()
+    finally:
+        arch._POOL[0].shutdown(wait=False)
+
+
+@needs_frame_threads
+def test_a_frame_splits_no_wider_than_the_pool_when_more_cores_become_usable(monkeypatch):
+    # each part waits for the others, so parts beyond the pool's threads would wait forever;
+    # a 352x1280 frame may take 8 parts
+    spec = arch.build_enet21()
+    net = arch.prepare(spec, arch.random_weights(spec, seed=5))
+    img = np.random.default_rng(3).standard_normal((1, 3, 352, 1280)).astype(np.float32)
+    cores = os.sched_getaffinity(0)
+    monkeypatch.setattr(arch, "_POOL", [])
+    want = net(img)  # makes a pool for the cores usable now
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(len(cores) + 2)))
+    caller = ThreadPoolExecutor(1)
+    try:
+        got = caller.submit(net, img).result(timeout=60)
+    finally:  # without waiting, so a call that never returns fails the test
+        caller.shutdown(wait=False)
+        arch._POOL[0].shutdown(wait=False)
+    for a, b in zip(want, got):
+        assert a.tobytes() == b.tobytes()
 
 
 @needs_frame_threads
@@ -498,19 +588,21 @@ def test_concurrent_batches_restore_the_blas_thread_count(blas_get):
 
 @needs_frame_threads
 def test_concurrent_batches_take_turns(monkeypatch):
-    # a batch on threads holds the lock until its frames stop, so callers never stack
-    # their frame threads onto more threads than there are cores
+    # a batch or a split frame on threads holds the lock until its threads stop, so callers
+    # never stack their frame threads onto more threads than there are cores
     spec = arch.build_enet21()
     net = arch.prepare(spec, arch.random_weights(spec, seed=5))
-    imgs = np.random.default_rng(6).standard_normal((6, 4, 3, 32, 48)).astype(np.float32)
+    rng = np.random.default_rng(6)
+    imgs = [rng.standard_normal((1, 3, 352, 640)).astype(np.float32),
+            *rng.standard_normal((5, 4, 3, 32, 48)).astype(np.float32)]
     conv, lock, inside, most = T.conv2d, threading.Lock(), [0], [0]
 
-    def spy(x, p, out=None):
+    def spy(x, p, out=None, rows=None):
         with lock:
             inside[0] += 1
             most[0] = max(most[0], inside[0])
         try:
-            return conv(x, p, out=out)
+            return conv(x, p, out, rows)
         finally:
             with lock:
                 inside[0] -= 1
@@ -533,8 +625,8 @@ def test_batch_without_a_blas_setter_runs_on_the_caller_alone(monkeypatch):
     want = arch.forward(spec, store, img)
     threads, conv = set(), T.conv2d
     monkeypatch.setattr(arch, "_openblas", lambda: None)
-    monkeypatch.setattr(T, "conv2d", lambda x, p, out=None: (
-        threads.add(threading.get_ident()) or conv(x, p, out)))
+    monkeypatch.setattr(T, "conv2d", lambda x, p, out=None, rows=None: (
+        threads.add(threading.get_ident()) or conv(x, p, out, rows)))
     for got, again in zip(want, arch.forward(spec, store, img)):
         assert got.tobytes() == again.tobytes()
     assert threads == {threading.get_ident()}
@@ -585,9 +677,9 @@ def test_prepared_network_is_a_snapshot_of_read_only_copies(shared_heads, monkey
     net = arch.prepare(spec, store)
     held, conv, fused = [], T.conv2d, T.batchnorm_add_prelu
 
-    def conv_spy(x, p, out=None):
+    def conv_spy(x, p, out=None, rows=None):
         held.append(p.kernel)
-        return conv(x, p, out=out)
+        return conv(x, p, out, rows)
 
     def fused_spy(x, bn=None, main=None, slope=None, out=None):
         held.extend(a for a in (*(bn or ()), slope) if a is not None)
@@ -617,7 +709,8 @@ def test_prepare_validates_once_and_kernels_are_looked_up_per_call(monkeypatch):
     monkeypatch.setattr(arch, "validate_weights", lambda *a: checks.append(1) or validate(*a))
     net = arch.prepare(spec, store)
     convs, conv = [], T.conv2d  # spied on after prepare, as a traced benchmark wraps it
-    monkeypatch.setattr(T, "conv2d", lambda x, p, out=None: convs.append(1) or conv(x, p, out))
+    monkeypatch.setattr(T, "conv2d",
+                        lambda x, p, out=None, rows=None: convs.append(1) or conv(x, p, out, rows))
     for _ in range(3):
         net(img)
     assert len(checks) == 1

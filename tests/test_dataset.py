@@ -171,6 +171,15 @@ def test_serialize_parse_round_trip(tmp_path):
     assert back == ann
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_serialize_annotation_rejects_a_non_finite_x_naming_its_lane(bad):
+    # the constructor rejects such an x, so an annotation that holds one was changed after
+    ann = D.LaneAnnotation("a.jpg", H_SAMPLES, (tuple(vertical_lane(512)),) * 2)
+    object.__setattr__(ann, "lanes", (ann.lanes[0], (bad, *ann.lanes[1][1:])))
+    with pytest.raises(FormatError, match="lane 1 holds a non-finite x"):
+        D.serialize_annotation(ann)
+
+
 # --------------------------------------------------------------- rasterize
 
 def test_rasterize_vertical_midline():

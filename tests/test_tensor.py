@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -47,6 +48,34 @@ def test_conv2d_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeError) as exc:
         T.conv2d(x, p)
     assert "(1, 2, 4, 4)" in str(exc.value) and "(1, 3, 3, 3)" in str(exc.value)
+
+
+@pytest.mark.parametrize("geometry", [((3, 3), (1, 1), (1, 1), (1, 1)),
+                                      ((3, 3), (2, 2), (2, 2), (2, 2)),
+                                      ((3, 3), (2, 2), (1, 1), (1, 1)),
+                                      ((2, 2), (1, 1), (2, 2), (0, 0)),
+                                      ((1, 1), (1, 1), (1, 1), (0, 0))],
+                         ids=["3x3", "dilated", "strided", "2x2", "1x1"])
+def test_conv2d_row_range_equals_those_rows_of_the_whole(geometry, monkeypatch):
+    # each range reads the rows of x around it, padding included, and writes only its own
+    # rows, into a band of another array's rows; bands of 3 rows cut each range further.
+    # Every GEMM's columns are whole GEMM blocks: 32 output columns a row
+    kernel, dilation, stride, padding = geometry
+    rng = np.random.default_rng(9)
+    w = 31 * stride[1] + dilation[1] * (kernel[1] - 1) + 1 - 2 * padding[1]
+    x = rng.standard_normal((1, 4, 20, w)).astype(np.float32)
+    p = T.ConvParams(rng.standard_normal((5, 4, *kernel)).astype(np.float32),
+                     stride, dilation, padding)
+    monkeypatch.setattr(T, "CONV_BAND", 3 * 4 * math.prod(kernel) * 32)
+    whole = T.conv2d(x, p)
+    out = np.full_like(whole, np.nan)
+    oh = whole.shape[2]
+    for rows in (slice(0, 1), slice(1, oh // 2), slice(oh // 2, oh)):
+        assert T.conv2d(x, p, out[:, :, rows], rows).base is out
+        assert T.conv2d(x, p, rows=rows).tobytes() == whole[:, :, rows].tobytes()
+    assert out.tobytes() == whole.tobytes()
+    with pytest.raises(ShapeError, match="output rows"):
+        T.conv2d(x, p, rows=slice(oh, oh + 1))
 
 
 def test_conv2d_is_deterministic():

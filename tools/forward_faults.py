@@ -3,8 +3,9 @@
     PYTHONPATH=src python tools/forward_faults.py [--frames 20] [--batch 1]
 
 Runs the 21-row network at 640x352, weight seed 5, in this process, on batches of
-``--batch`` frames (a batch of two or more runs its frames on worker threads): two
-warm-up batches, then ``--frames`` batches cycling four distinct ones.  The counts come
+``--batch`` frames (a batch of two or more runs its frames on worker threads, and one
+frame its rows, in parts, on worker threads too): two warm-up batches, then ``--frames``
+batches cycling four distinct ones.  The counts come
 from ``getrusage`` of this process, so they sum over its threads, and are given per
 frame.  Last, it reports the tracemalloc peak of one more warm batch and the buffer
 MiB of each thread that ran a frame of it.  Prints one JSON line.
@@ -43,9 +44,9 @@ def main() -> None:
         wall_ms.append(1e3 * (t1 - t0) / args.batch)
     buffers, scratch = {}, T.scratch
 
-    def spy(role, shape, dtype=np.float32):  # notes which thread keeps which buffers
+    def spy(role, shape, dtype=np.float32, bufs=None):  # notes which thread keeps which
         buffers[threading.current_thread().name] = vars(T._SCRATCH)
-        return scratch(role, shape, dtype)
+        return scratch(role, shape, dtype, bufs)
 
     T.scratch = spy
     tracemalloc.start()
