@@ -426,16 +426,16 @@ def _map_frames(run, n: int, units: int, parts: int) -> None:
     """Call run(i, part) for every frame i < n, a whole frame's part or, for one frame,
     each of up to *parts* even parts of its *units* bands of 8 input rows.  A batch runs
     its frames on min(n, usable cores) threads and one frame its parts on min(parts,
-    usable cores), the caller one of them.  Such a call takes the module lock and holds
-    numpy's OpenBLAS at one thread until every thread has stopped, so no idle BLAS thread
-    spins on a core a frame thread needs and concurrent calls take turns.  If a thread
-    raises, the others stop at their next wait and the call raises that first error.  One
-    thread, or no BLAS setter, runs the frames whole on the caller alone, with OpenBLAS and
-    the lock untouched.  The other threads persist, each keeping its own buffers, so a warm
-    call allocates none."""
+    usable cores), the caller one of them, so a frame that does not split runs whole on
+    the caller.  Each call takes the module lock and holds numpy's OpenBLAS at one thread
+    until every thread has stopped, so a frame's bits do not depend on its batch, no idle
+    BLAS thread spins on a core a frame thread needs, and concurrent calls take turns.  If
+    a thread raises, the others stop at their next wait and the call raises that first
+    error.  With no BLAS setter the frames run whole on the caller, the lock untouched.
+    The other threads persist with their own buffers, so a warm call allocates none."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(n if n > 1 else parts, cores)
-    if workers < 2 or (blas := _openblas()) is None:
+    if (blas := _openblas()) is None:
         for i in range(n):
             run(i, _Part())
         return
@@ -450,13 +450,13 @@ def _map_frames(run, n: int, units: int, parts: int) -> None:
 
     get, put = blas
     with _LOCK:
-        if not _POOL:
+        if workers > 1 and not _POOL:
             _POOL.extend((ThreadPoolExecutor(cores - 1, "lanekit-frame"), cores - 1))
         # a part waits for the others, so each needs a thread: no more than the pool has,
         # should more cores have become usable since it was made
-        workers = min(workers, _POOL[1] + 1)
+        workers = min(workers, _POOL[1] + 1) if workers > 1 else 1
         barrier = threading.Barrier(workers)
-        if n > 1:  # frames j, j + workers, ...
+        if n > 1 or workers == 1:  # whole frames j, j + workers, ...
             jobs = [[(i, _Part()) for i in range(j, n, workers)] for j in range(workers)]
         else:
             shared, lock = vars(T._SCRATCH), threading.Lock()
@@ -609,10 +609,10 @@ def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
         turns with the others (:func:`_map_frames`).  A part keeps its own rows of every
         buffer; only the projections that padded convs read are the frame's, shared.  So
         peak memory is about one frame's activations per thread, whatever N is, and a warm
-        frame allocates none of them.  Where every map's rows are whole GEMM blocks (a width
-        that is a multiple of 128), every kernel keeps a frame's bits independent of its
-        batch, its parts, its thread and the BLAS thread count, so the maps equal those of
-        each frame run alone.  No returned map shares memory with those buffers.
+        frame allocates none of them.  Every frame runs at one BLAS thread, and a frame
+        splits only where its parts run the GEMMs of the whole frame, so every kernel keeps
+        a frame's bits independent of its batch, its parts and its thread: the maps equal
+        those of each frame run alone.  No returned map shares memory with those buffers.
         """
         image = T.as_f32(image)
         if image.ndim == 3:
@@ -653,6 +653,6 @@ def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
 
 
 def forward(spec: ArchSpec, store: dict[str, np.ndarray], image: np.ndarray):
-    """Run the network on *image* once: ``prepare(spec, store)(image)``, a batch's frames,
-    or one frame's rows, on threads, each frame byte-equal to the frame run whole alone."""
+    """Run the network on *image* once: ``prepare(spec, store)(image)``, at one BLAS thread,
+    each frame byte-equal to the frame run whole alone at any width."""
     return prepare(spec, store)(image)

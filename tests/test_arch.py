@@ -31,6 +31,8 @@ HEAD_OUT = {"seg": 1, "haf": 1, "vaf": 2}
 FRAME_THREADS = min(4, len(os.sched_getaffinity(0))) if arch._openblas() is not None else 1
 needs_frame_threads = pytest.mark.skipif(
     FRAME_THREADS < 2, reason="needs two usable cores and numpy's bundled OpenBLAS")
+needs_blas_setter = pytest.mark.skipif(
+    arch._openblas() is None, reason="needs numpy's bundled OpenBLAS")
 
 
 @pytest.fixture
@@ -244,10 +246,9 @@ def test_forward_matches_reference_oracle(shared_heads, batch):
 
 @pytest.mark.parametrize("shared_heads", [False, True])
 def test_forward_batch_bytes_equal_single_frames(shared_heads):
-    # every frame of a batch runs the same kernels as it would alone, on a frame thread
-    # with one BLAS thread where a frame alone has the default count, so a batched
-    # forward can share the single-frame reference outputs; at 352x640 every conv and
-    # expand runs in several bands
+    # every frame of a batch runs the same kernels, at the same one BLAS thread, as it
+    # would alone, so a batched forward can share the single-frame reference outputs; at
+    # 352x640 every conv and expand runs in several bands
     spec = arch.build_enet21(shared_heads=shared_heads)
     store = arch.random_weights(spec, seed=5)
     img = np.random.default_rng(7).random((3, 3, 352, 640), dtype=np.float32)
@@ -257,12 +258,15 @@ def test_forward_batch_bytes_equal_single_frames(shared_heads):
             assert got[i].tobytes() == alone[0].tobytes()
 
 
-@pytest.mark.parametrize("hw", [(352, 640), (16, 24), (64, 96)])
+@pytest.mark.parametrize("hw", [(352, 640), (16, 24), (64, 96), (176, 696), (352, 600)])
 @pytest.mark.parametrize("shared_heads", [False, True])
 def test_one_frame_bytes_equal_a_batch_of_two(shared_heads, hw):
     # one 352x640 frame runs its rows in parts on threads, its padded convs reading rows
-    # that other threads wrote; a 16x24 or 64x96 frame is too small to split and runs
-    # whole on the caller; each equals the frame run whole on a frame thread
+    # that other threads wrote; a 16x24 or 64x96 frame is too small to split, and a
+    # 176x696 or 352x600 one (87 or 75 columns at 1/8 scale) ends its rows inside a GEMM
+    # block, so each runs whole on the caller; each equals the frame run whole on a frame
+    # thread, as both run at one BLAS thread (at two, 176x696 gave other seg and
+    # horizontal maps alone than in its batch)
     spec = arch.build_enet21(shared_heads=shared_heads)
     net = arch.prepare(spec, arch.random_weights(spec, seed=5))
     img = np.random.default_rng(17).standard_normal((2, 3, *hw)).astype(np.float32)
@@ -452,7 +456,7 @@ def test_batched_forward_holds_blas_at_one_thread_and_restores_it(blas_get, monk
     # 1/8 scale, in parts of at least 11 rows (one conv band of its 3x3 convs there), on as
     # many, each at one BLAS thread.  A frame too small to split (64x128 has 8 rows of 1/8
     # scale, under one conv band), or one whose rows at 1/8 scale end inside a GEMM block
-    # (75 columns at 600), runs on the caller alone, BLAS untouched
+    # (75 columns at 600), runs on the caller alone, also at one BLAS thread
     spec = arch.build_enet21()
     net = arch.prepare(spec, arch.random_weights(spec, seed=5))
     rng = np.random.default_rng(2)
@@ -474,7 +478,7 @@ def test_batched_forward_holds_blas_at_one_thread_and_restores_it(blas_get, monk
     for hw in ((16, 24), (64, 128), (352, 600)):
         seen.clear()
         net(rng.standard_normal((1, 3, *hw)).astype(np.float32))
-        assert seen == {(threading.get_ident(), before)} and get() == before
+        assert seen == {(threading.get_ident(), 1)} and get() == before
 
 
 @needs_frame_threads
@@ -566,9 +570,12 @@ def test_a_frame_splits_no_wider_than_the_pool_when_more_cores_become_usable(mon
 
 @needs_frame_threads
 def test_concurrent_batches_restore_the_blas_thread_count(blas_get):
+    # batches and whole frames, each call pinning the count under the lock
     spec = arch.build_enet21()
     net = arch.prepare(spec, arch.random_weights(spec, seed=5))
-    imgs = np.random.default_rng(4).standard_normal((6, 4, 3, 32, 48)).astype(np.float32)
+    rng = np.random.default_rng(4)
+    imgs = [*rng.standard_normal((6, 4, 3, 32, 48)).astype(np.float32),
+            *rng.standard_normal((4, 1, 3, 16, 24)).astype(np.float32)]
     get = blas_get
     before, serial = get(), [net(img) for img in imgs]
     assert get() == before
@@ -588,13 +595,14 @@ def test_concurrent_batches_restore_the_blas_thread_count(blas_get):
 
 @needs_frame_threads
 def test_concurrent_batches_take_turns(monkeypatch):
-    # a batch or a split frame on threads holds the lock until its threads stop, so callers
-    # never stack their frame threads onto more threads than there are cores
+    # a batch, a split frame or a whole frame holds the lock until its threads stop, so
+    # callers never stack their frame threads onto more threads than there are cores
     spec = arch.build_enet21()
     net = arch.prepare(spec, arch.random_weights(spec, seed=5))
     rng = np.random.default_rng(6)
     imgs = [rng.standard_normal((1, 3, 352, 640)).astype(np.float32),
-            *rng.standard_normal((5, 4, 3, 32, 48)).astype(np.float32)]
+            *rng.standard_normal((5, 4, 3, 32, 48)).astype(np.float32),
+            *rng.standard_normal((4, 1, 3, 16, 24)).astype(np.float32)]
     conv, lock, inside, most = T.conv2d, threading.Lock(), [0], [0]
 
     def spy(x, p, out=None, rows=None):
@@ -616,6 +624,33 @@ def test_concurrent_batches_take_turns(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert most[0] <= len(os.sched_getaffinity(0)), most[0]
+
+
+@needs_blas_setter
+def test_one_usable_core_runs_on_the_caller_at_one_blas_thread(blas_get, monkeypatch):
+    # one usable core makes no pool, yet a batch and a frame that would split still run
+    # at one BLAS thread, so their bits are those of the same frames on more cores
+    spec = arch.build_enet21()
+    net = arch.prepare(spec, arch.random_weights(spec, seed=5))
+    rng = np.random.default_rng(8)
+    imgs = [rng.standard_normal(shape).astype(np.float32)
+            for shape in ((2, 3, 32, 48), (1, 3, 352, 640))]
+    get, conv, seen = blas_get, T.conv2d, set()
+    before, want = get(), [net(img) for img in imgs]
+
+    def spy(x, p, out=None, rows=None):
+        seen.add((threading.get_ident(), get()))
+        return conv(x, p, out, rows)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(arch, "_POOL", [])
+    monkeypatch.setattr(T, "conv2d", spy)
+    for img, maps in zip(imgs, want):
+        seen.clear()
+        for got, again in zip(maps, net(img)):
+            assert got.tobytes() == again.tobytes()
+        assert seen == {(threading.get_ident(), 1)} and get() == before
+    assert arch._POOL == []
 
 
 def test_batch_without_a_blas_setter_runs_on_the_caller_alone(monkeypatch):
