@@ -389,45 +389,42 @@ class _Part:
     """The rows of a frame that one thread runs: units [lo, hi) of its *units* bands of 8
     input rows, so the same share of every map.  A split frame's parts wait at *barrier*
     before each padded conv, whose halo reads the projection rows of the parts beside,
-    and take those projections from *shared*, the caller's buffers; every other buffer
-    holds only the part's own rows, in its own thread's buffers.  The default part is a
-    whole frame, which waits for nothing and keeps every buffer in its thread's."""
+    and take those projections in turn from *shared*, two flat maps the caller made; every
+    other buffer holds only the part's own rows, in its own thread's buffers.  The default
+    part is a whole frame, which waits for nothing and keeps every buffer in its thread's."""
 
-    def __init__(self, lo=0, hi=1, units=1, barrier=None, shared=None, lock=None):
+    def __init__(self, lo=0, hi=1, units=1, barrier=None, shared=()):
         self.lo, self.hi, self.units = lo, hi, units
-        self.barrier, self.shared, self.lock, self.halos = barrier, shared, lock, 0
+        self.barrier, self.shared, self.halos = barrier, shared, 0
 
     def rows(self, h: int) -> slice:
         """This part's rows of a map of *h* rows."""
         return slice(self.lo * h // self.units, self.hi * h // self.units)
 
-    def whole(self, h: int) -> int:
-        """The rows of the map of which this part holds *h*."""
-        return h * self.units // (self.hi - self.lo)
-
     def halo(self, shape) -> tuple[np.ndarray, slice]:
         """The whole map that a padded conv reads, of which this part's rows are *shape*,
-        and the slice of those rows.  A split frame takes two shared maps in turn, so no
-        part writes one that a part beside may still read."""
+        and the slice of those rows.  A split frame takes the two shared maps in turn, so
+        no part writes one that a part beside may still read."""
         n, c, h, w = shape
-        shape, rows = (n, c, self.whole(h), w), self.rows(self.whole(h))
-        if self.shared is None:
+        h = h * self.units // (self.hi - self.lo)
+        shape, rows = (n, c, h, w), self.rows(h)
+        if not self.shared:
             return T.scratch("ext0", shape), rows
         self.halos += 1
-        with self.lock:  # the first part to ask for a map grows it
-            return T.scratch(f"halo{self.halos % 2}", shape, bufs=self.shared), rows
+        return self.shared[self.halos % 2][:math.prod(shape)].reshape(shape), rows
 
     def wait(self) -> None:
         if self.barrier is not None:
             self.barrier.wait()
 
 
-def _map_frames(run, n: int, units: int, parts: int) -> None:
+def _map_frames(run, n: int, units: int, parts: int, halo: int) -> None:
     """Call run(i, part) for every frame i < n, a whole frame's part or, for one frame,
     each of up to *parts* even parts of its *units* bands of 8 input rows.  A batch runs
     its frames on min(n, usable cores) threads and one frame its parts on min(parts,
     usable cores), the caller one of them, so a frame that does not split runs whole on
-    the caller.  Each call takes the module lock and holds numpy's OpenBLAS at one thread
+    the caller, which first makes a split frame's two maps of *halo* floats in its own
+    buffers.  Each call takes the module lock and holds numpy's OpenBLAS at one thread
     until every thread has stopped, so a frame's bits do not depend on its batch, no idle
     BLAS thread spins on a core a frame thread needs, and concurrent calls take turns.  If
     a thread raises, the others stop at their next wait and the call raises that first
@@ -459,9 +456,9 @@ def _map_frames(run, n: int, units: int, parts: int) -> None:
         if n > 1 or workers == 1:  # whole frames j, j + workers, ...
             jobs = [[(i, _Part()) for i in range(j, n, workers)] for j in range(workers)]
         else:
-            shared, lock = vars(T._SCRATCH), threading.Lock()
+            shared = T.scratch("halo0", (halo,)), T.scratch("halo1", (halo,))
             jobs = [[(0, _Part(units * j // workers, units * (j + 1) // workers, units,
-                               barrier, shared, lock))] for j in range(workers)]
+                               barrier, shared))] for j in range(workers)]
         threads, futures, errors = get(), [], []
         put(1)
         try:
@@ -478,14 +475,9 @@ def _map_frames(run, n: int, units: int, parts: int) -> None:
 
 
 def _run_slot(x, slot: ConvSlot, units, out, rows=None):
-    """One conv unit into *out* (a workspace role or an array), then its batchnorm and
+    """One conv unit into the array *out*, sized by the caller, then its batchnorm and
     PReLU, in one pass; *rows*, a slice, are the output rows to run, of a conv that reads
     the rows of *x* around them, and *out* holds only those."""
-    if isinstance(out, str):
-        shape = T.conv_output_hw if slot.op == "conv" else T.transposed_output_hw
-        oh, ow = shape(x.shape[2:], slot.kernel, slot.stride, slot.dilation, slot.padding)
-        oh = oh if rows is None else rows.stop - rows.start
-        out = T.scratch(out, (len(x), slot.out_ch, oh, ow))
     params, bn, slope = units[slot.name]
     y = (T.conv2d(x, params, out, rows) if slot.op == "conv"
          else T.transposed_conv2d(x, params, out=out))
@@ -508,46 +500,47 @@ def _run_block(x, plan: BlockPlan, role, units, pools, kept, part: _Part):
     place; a pooling row's main branch goes into the leading channels of its output, and
     its indices are kept only if *kept*.  *x* and the output hold only *part*'s rows,
     except that the initial row reads the whole image."""
-    kind, nm, n, c = plan.layer.kind, plan.layer.name, len(x), plan.layer.out_channels
-    pooled = (x.shape[2] + 1) // 2, (x.shape[3] + 1) // 2
+    kind, nm, c = plan.layer.kind, plan.layer.name, plan.layer.out_channels
+    n, cin, h, w = x.shape
     if kind == "initial":
-        rows, k = part.rows(pooled[0]), plan.ext[0].out_ch
-        y = T.scratch(role, (n, c, rows.stop - rows.start, pooled[1]))
+        rows, k = part.rows(h // 2), plan.ext[0].out_ch
+        y = T.scratch(role, (n, c, rows.stop - rows.start, w // 2))
         _run_slot(x, plan.ext[0], units, y[:, :k], rows)
-        T.maxpool2x2_with_indices(x[:, :, part.rows(x.shape[2])], y[:, k:], indices=False)
+        T.maxpool2x2_with_indices(x[:, :, part.rows(h)], y[:, k:], indices=False)
         bn, slope = units[nm]
         return T.batchnorm_add_prelu(y, bn, None, slope, y)
+    proj, inner = plan.ext[:2]
+    if kind == "up":  # "ext1" is free once the skip is unpooled; a tconv reads only its rows
+        idx, hw = pools.pop()
+        skip = _run_slot(x, plan.main_conv, units, T.scratch("ext1", (n, c, h, w)))
+        y = T.max_unpool2x2(skip, idx, hw, T.scratch(role, (n, c, *hw)))
+        ext = _run_slot(x, proj, units, T.scratch("ext0", (n, proj.out_ch, h, w)))
+        ext = _run_slot(ext, inner, units, T.scratch("ext1", (n, inner.out_ch, *hw)))
+        return _run_expand(ext, plan.ext[-1], units, y, y)
     if kind == "down":
-        y = T.scratch(role, (n, c, *pooled))
-        main = y[:, :x.shape[1]]
-        index = np.int32 if x.shape[2] * x.shape[3] < 2**31 else np.int64
+        y = T.scratch(role, (n, c, h // 2, w // 2))
+        main = y[:, :cin]
+        index = np.int32 if h * w < 2**31 else np.int64
         argmax = T.scratch(f"{nm}.argmax", main.shape, index) if nm in kept else None
-        pools.append((T.maxpool2x2_with_indices(x, main, argmax, nm in kept)[1], x.shape[2:]))
-    elif kind == "up":
-        idx, out_hw = pools.pop()
-        skip = _run_slot(x, plan.main_conv, units, "ext1")  # free until the ext chain
-        y = main = T.max_unpool2x2(skip, idx, out_hw, T.scratch(role, (n, c, *out_hw)))
+        pools.append((T.maxpool2x2_with_indices(x, main, argmax, nm in kept)[1], (h, w)))
     else:
         y, main = T.scratch(role, x.shape), x
-    proj, inner = plan.ext[:2]
-    if inner.padding == (0, 0):  # a 2x2 stride-2 transposed conv reads only its own rows
-        ext = _run_slot(_run_slot(x, proj, units, "ext0"), inner, units, "ext1")
-    else:  # a padded conv reads the rows of the projection around its own
-        hw = T.conv_output_hw(x.shape[2:], proj.kernel, proj.stride, proj.dilation, proj.padding)
-        whole, rows = part.halo((n, proj.out_ch, *hw))
-        _run_slot(x, proj, units, whole[:, :, rows])
-        part.wait()
-        ext = _run_slot(whole, inner, units, "ext1", rows)
+    # the projection is of the main branch's size, and its padded conv, of the same size,
+    # reads the projection's rows around its own
+    whole, rows = part.halo((n, proj.out_ch, *main.shape[2:]))
+    own = _run_slot(x, proj, units, whole[:, :, rows])
+    part.wait()
+    ext = _run_slot(whole, inner, units, T.scratch("ext1", own.shape), rows)
     return _run_expand(ext, plan.ext[-1], units, y, main)
 
 
 def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
-    """Validate *store* once and resolve what no image changes: each row's plan and
-    buffer, each unit's ConvParams, batchnorm (scale, shift) and PReLU slope (an expand's
-    in bands of its input's width), and the "down" rows whose pool indices an "up" row
-    pops.  Returns the network, a function of
-    an image.  It holds read-only float32 copies of the weights, so later changes to
-    *store* do not reach it, and threads may share it, each in buffers of its own."""
+    """Validate *store* once and resolve what no image changes: each row's plan, buffer
+    and size divisor (the image's size over its output's), each unit's ConvParams,
+    batchnorm (scale, shift) and PReLU slope (an expand's in bands of its input's width),
+    and the "down" rows whose pool indices an "up" row pops.  Returns the network, a
+    function of an image that holds read-only float32 copies of the weights, so later
+    changes to *store* do not reach it; threads may share it, each in buffers of its own."""
     validate_weights(spec, store)
     plans, units, downs, kept, trunk, depth = {}, {}, [], set(), None, 1
 
@@ -567,14 +560,15 @@ def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
                          *norm(s.name, s.out_ch, s.bn,
                                store[_weight_name(s.name, "slope")] if s.act else slope))
 
-    def row(plan: BlockPlan, head, block):  # *block*: the buffer (0 or 1) of the row's input
+    def row(plan: BlockPlan, head, x):  # *x*: the buffer (0 or 1) and divisor of its input
         nonlocal trunk, depth
-        layer, kind, nm = plan.layer, plan.layer.kind, plan.layer.name
+        (block, div), layer, kind, nm = x, plan.layer, plan.layer.kind, plan.layer.name
         # a row works in place, so a thread keeps two block buffers; a row that changes
         # size, or whose input later heads read too, writes into the other one
         if kind in ("initial", "down", "up") or (head is not None and block == trunk):
             block = 1 - block
-        plans[nm] = plan, f"block{block}"
+        div = div * 2 if kind in ("initial", "down") else div // 2 if kind == "up" else div
+        plans[nm] = plan, f"block{block}", div
         trunk = block if head is None else trunk
         slope = None if kind == "conv1x1" else store[_weight_name(f"{nm}.out", "slope")]
         if kind == "initial":  # the batchnorm and PReLU of the concatenation
@@ -594,9 +588,9 @@ def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
             downs.append(nm)
         elif kind == "up":
             kept.add(downs.pop())
-        return block
+        return block, div
 
-    walk(spec, 1, row)  # the initial row writes into block0
+    walk(spec, (1, 1), row)  # the initial row writes into block0
 
     def network(image: np.ndarray):
         """Run the network; returns (seg_logits, haf_map, vaf_map).
@@ -607,7 +601,8 @@ def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
         A batch of N >= 2 runs its frames on min(N, usable cores) threads, and N = 1 its
         frame's rows, in even parts of 8-row bands, one part per thread, each call taking
         turns with the others (:func:`_map_frames`).  A part keeps its own rows of every
-        buffer; only the projections that padded convs read are the frame's, shared.  So
+        buffer; only the projections that padded convs read are the frame's, in two maps
+        that the caller makes, as it does the returned maps, before any thread starts.  So
         peak memory is about one frame's activations per thread, whatever N is, and a warm
         frame allocates none of them.  Every frame runs at one BLAS thread, and a frame
         splits only where its parts run the GEMMs of the whole frame, so every kernel keeps
@@ -623,19 +618,22 @@ def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
             raise ShapeError(f"image has a zero-sized dim: {tuple(image.shape)}")
         if image.shape[2] % 8 or image.shape[3] % 8:
             raise ShapeError(f"image spatial dims {image.shape[2:]} not divisible by 8")
-        maps, lock = {}, threading.Lock()
+        n, _, h, w = image.shape
+        maps = {}  # each at the size of its head's last row
+        for head in spec.heads:
+            plan, _, d = plans[head.layers[-1].name]
+            maps[head.name] = np.empty((n, plan.layer.out_channels, h // d, w // d), np.float32)
+        # the most floats of one frame's projection that a padded conv reads
+        halo = max(plan.ext[0].out_ch * (h // d) * (w // d) for plan, _, d in plans.values()
+                   if plan.layer.kind in ("down", "bottleneck"))
 
         def run(i, part):
             pools: list = []
 
             def step(prepared, head, x):
-                plan, role = prepared
+                plan, role, _ = prepared
                 if plan.layer.kind != "conv1x1":
                     return _run_block(x, plan, role, units, pools, kept, part)
-                with lock:  # the first thread to reach a head's last row makes its map
-                    if head not in maps:
-                        maps[head] = np.empty((len(image), plan.layer.out_channels,
-                                               part.whole(x.shape[2]), x.shape[3]), np.float32)
                 out = maps[head][i:i + 1]
                 return _run_slot(x, plan.ext[0], units, out[:, :, part.rows(out.shape[2])])
 
@@ -644,9 +642,9 @@ def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
         # a frame splits only where its parts' GEMMs give a whole frame's bits: every map's
         # rows are whole GEMM blocks wide, and each part's rows of the coarsest map (1/8 of
         # the image) hold at least one conv band of the deepest conv
-        h8, w8 = image.shape[2] // 8, image.shape[3] // 8
+        h8, w8 = h // 8, w // 8
         parts = h8 // max(1, T.CONV_BAND // (depth * w8)) if w8 % T.GEMM_BLOCK == 0 else 1
-        _map_frames(run, len(image), h8, parts)
+        _map_frames(run, n, h8, parts, halo)
         return tuple(maps[name] for name in ("seg", "haf", "vaf"))
 
     return network

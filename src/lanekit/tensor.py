@@ -39,10 +39,10 @@ _SCRATCH = threading.local()
 _F32 = np.dtype(np.float32)
 
 
-def scratch(role: str, shape, dtype=np.float32, bufs=None) -> np.ndarray:
-    """*shape* over the grow-only buffer for *role* in *bufs*, by default this thread's
-    (``vars(_SCRATCH)``; "temp": each kernel's own)."""
-    bufs, size = _SCRATCH.__dict__ if bufs is None else bufs, math.prod(shape)
+def scratch(role: str, shape, dtype=np.float32) -> np.ndarray:
+    """*shape* over this thread's grow-only buffer for *role* ("temp": each kernel's own);
+    no other thread's buffers are touched."""
+    bufs, size = _SCRATCH.__dict__, math.prod(shape)
     if role not in bufs or bufs[role].size < size:
         bufs[role] = np.empty(size, dtype)
     return bufs[role][:size].reshape(shape)
@@ -95,20 +95,18 @@ class ConvParams:
 
 
 def conv_output_hw(hw, kernel, stride, dilation, padding) -> tuple[int, int]:
-    """Spatial output size of a cross-correlation."""
-    h, w = hw
-    (kh, kw), (sh, sw) = _pair(kernel), _pair(stride)
-    (dh, dw), (ph, pw) = _pair(dilation), _pair(padding)
+    """Spatial output size of a cross-correlation, from the (h, w) input size and the
+    (row, col) pairs of the other four."""
+    (h, w), (kh, kw), (sh, sw), (dh, dw), (ph, pw) = hw, kernel, stride, dilation, padding
     oh = (h + 2 * ph - dh * (kh - 1) - 1) // sh + 1
     ow = (w + 2 * pw - dw * (kw - 1) - 1) // sw + 1
     return oh, ow
 
 
 def transposed_output_hw(hw, kernel, stride, dilation, padding) -> tuple[int, int]:
-    """Spatial output size of a transposed convolution (gradient of conv)."""
-    h, w = hw
-    (kh, kw), (sh, sw) = _pair(kernel), _pair(stride)
-    (dh, dw), (ph, pw) = _pair(dilation), _pair(padding)
+    """Spatial output size of a transposed convolution (gradient of conv), from the (h, w)
+    input size and the (row, col) pairs of the other four."""
+    (h, w), (kh, kw), (sh, sw), (dh, dw), (ph, pw) = hw, kernel, stride, dilation, padding
     oh = (h - 1) * sh - 2 * ph + dh * (kh - 1) + 1
     ow = (w - 1) * sw - 2 * pw + dw * (kw - 1) + 1
     return oh, ow
@@ -128,7 +126,7 @@ def conv2d(x: np.ndarray, p: ConvParams, out=None, rows=None) -> np.ndarray:
             f"input channels {tuple(x.shape)} do not match kernel {tuple(p.kernel.shape)}"
         )
     (sh, sw), (dh, dw), (ph, pw) = p.stride, p.dilation, p.padding
-    oh, ow = conv_output_hw((h, w), (kh, kw), (sh, sw), (dh, dw), (ph, pw))
+    oh, ow = conv_output_hw((h, w), (kh, kw), p.stride, p.dilation, p.padding)
     if oh < 1 or ow < 1:
         raise ShapeError(
             f"kernel {tuple(p.kernel.shape)} does not fit input {tuple(x.shape)} "
@@ -185,13 +183,12 @@ def transposed_conv2d(x: np.ndarray, p: ConvParams, out=None) -> np.ndarray:
             f"input channels {tuple(x.shape)} do not match kernel {tuple(p.kernel.shape)}"
         )
     (sh, sw), (dh, dw), (ph, pw) = p.stride, p.dilation, p.padding
-    fh = (h - 1) * sh + dh * (kh - 1) + 1
-    fw = (w - 1) * sw + dw * (kw - 1) + 1
-    oh, ow = fh - 2 * ph, fw - 2 * pw
+    oh, ow = transposed_output_hw((h, w), (kh, kw), p.stride, p.dilation, p.padding)
     if oh < 1 or ow < 1:
         raise ShapeError(
             f"padding {p.padding} swallows the whole output for input {tuple(x.shape)}"
         )
+    fh, fw = oh + 2 * ph, ow + 2 * pw  # the output before its padding is cut off
     full = scratch("temp", (n, oc, fh, fw))
     full.fill(0)
     for i in range(kh):

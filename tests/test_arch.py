@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -396,7 +397,9 @@ def test_forward_thread_buffers_total_13_mib_with_one_band_of_temp(monkeypatch):
     # pool indices are int32: a fresh thread running the frame whole keeps two block
     # buffers and 11.0 MiB in all (24.1 MiB with one GEMM per frame, three block buffers
     # and int64 indices).  The caller of a split frame keeps its own rows' share of those
-    # and the two frame-wide projections that padded convs read (8.0 MiB in two parts)
+    # and the two frame-wide projections that padded convs read (8.0 MiB in two parts),
+    # each as large as the largest projection (16 channels at 1/4 scale, H * W floats);
+    # the frame threads that run the other parts keep none
     spec = arch.build_enet21()
     store = arch.random_weights(spec, seed=5)
     img = np.random.default_rng(4).standard_normal((1, 3, 352, 640)).astype(np.float32)
@@ -413,6 +416,10 @@ def test_forward_thread_buffers_total_13_mib_with_one_band_of_temp(monkeypatch):
         assert sizes["temp"] <= 4 * T.CONV_BAND
         assert sorted(role for role in sizes if role.startswith("block")) == ["block0", "block1"]
         assert sum(sizes.values()) <= 13 * 2**20, sum(sizes.values()) / 2**20
+        if not whole and FRAME_THREADS > 1:  # the frame split
+            assert sizes["halo0"] == sizes["halo1"] == 352 * 640 * 4
+            roles = arch._POOL[0].submit(lambda: set(vars(T._SCRATCH))).result(timeout=60)
+            assert not any(role.startswith("halo") for role in roles), roles
 
 
 def test_warm_forward_traces_under_half_the_per_call_peak():
@@ -428,6 +435,50 @@ def test_warm_forward_traces_under_half_the_per_call_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 19.1 / 2 * 2**20, peak / 2**20
+
+
+def test_warm_forward_makes_no_buffer_larger_than_a_returned_map(monkeypatch):
+    # after a warm call, the blocks that arch.py and tensor.scratch have made since the
+    # trace began, live at any conv on any thread, are the returned maps at most: a split
+    # frame's two projection maps made per call (880 KiB at N=1) or an expand band (440
+    # and 880 KiB) would show.  Kernel temporaries are left out, as another thread may hold
+    # one at a conv (max pool's 1,760 KiB intp copy of its indices, for one).  Two frame
+    # threads, in a pool of one made here, so every thread's buffers are warm
+    spec = arch.build_enet21()
+    net = arch.prepare(spec, arch.random_weights(spec, seed=5))
+    rng = np.random.default_rng(13)
+    imgs = [rng.standard_normal((n, 3, 352, 640)).astype(np.float32) for n in (1, 2)]
+    lines, first = inspect.getsourcelines(T.scratch)
+    conv, largest = T.conv2d, []
+
+    def ours(frame):
+        return frame.filename == arch.__file__ or (
+            frame.filename == T.__file__ and first <= frame.lineno < first + len(lines))
+
+    def spy(x, p, out=None, rows=None):
+        traces = tracemalloc.take_snapshot().traces
+        largest.append(max((t.size for t in traces if ours(t.traceback[0])), default=0))
+        return conv(x, p, out, rows)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(arch, "_POOL", [])
+    try:
+        for img in imgs:
+            net(img)
+        for img in imgs:
+            largest.clear()
+            monkeypatch.setattr(T, "conv2d", spy)
+            tracemalloc.start(1)
+            try:
+                maps = net(img)
+            finally:
+                tracemalloc.stop()
+                monkeypatch.setattr(T, "conv2d", conv)
+            assert len(largest) >= 142 * len(img)
+            assert max(largest) <= max(m.nbytes for m in maps), (len(img), max(largest) / 2**10)
+    finally:
+        if arch._POOL:
+            arch._POOL[0].shutdown(wait=False)
 
 
 def test_forward_threads_and_later_calls_leave_maps_alone():

@@ -50,6 +50,21 @@ def test_conv2d_shape_mismatch_names_both_shapes():
     assert "(1, 2, 4, 4)" in str(exc.value) and "(1, 3, 3, 3)" in str(exc.value)
 
 
+@pytest.mark.parametrize("op, hw, kernel, padding, rows, match", [
+    ("conv2d", (2, 2), (3, 3), (0, 0), None, "does not fit input"),
+    ("transposed_conv2d", (1, 1), (1, 1), (1, 1), None, "swallows the whole output"),
+    ("conv2d", (4, 4), (1, 1), (0, 0), slice(0, 2, 2), "not a range"),
+    ("conv2d", (4, 4), (1, 1), (0, 0), slice(1, 1), "not a range"),
+], ids=["kernel-does-not-fit", "padding-swallows-output", "rows-step-2", "rows-empty"])
+def test_conv_kernels_reject_sizes_with_no_output(op, hw, kernel, padding, rows, match):
+    # an unpadded 3x3 on 2x2 has no output, nor a 1x1 transposed conv that pads (1, 1) away
+    # from a 1x1 input; the output rows to run must be a non-empty unit-step range
+    x = np.zeros((1, 1, *hw), np.float32)
+    p = T.ConvParams(np.ones((1, 1, *kernel), np.float32), padding=padding)
+    with pytest.raises(ShapeError, match=match):
+        getattr(T, op)(x, p, **({} if rows is None else {"rows": rows}))
+
+
 @pytest.mark.parametrize("geometry", [((3, 3), (1, 1), (1, 1), (1, 1)),
                                       ((3, 3), (2, 2), (2, 2), (2, 2)),
                                       ((3, 3), (2, 2), (1, 1), (1, 1)),

@@ -44,9 +44,9 @@ def main() -> None:
         wall_ms.append(1e3 * (t1 - t0) / args.batch)
     buffers, scratch = {}, T.scratch
 
-    def spy(role, shape, dtype=np.float32, bufs=None):  # notes which thread keeps which
+    def spy(role, shape, dtype=np.float32):  # notes which thread keeps which
         buffers[threading.current_thread().name] = vars(T._SCRATCH)
-        return scratch(role, shape, dtype, bufs)
+        return scratch(role, shape, dtype)
 
     T.scratch = spy
     tracemalloc.start()
