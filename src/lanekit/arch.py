@@ -474,49 +474,45 @@ def _map_frames(run, n: int, units: int, parts: int, halo: int) -> None:
         raise min(errors, key=lambda e: isinstance(e, threading.BrokenBarrierError))
 
 
-def _run_slot(x, slot: ConvSlot, units, out, rows=None):
-    """One conv unit into the array *out*, sized by the caller, then its batchnorm and
-    PReLU, in one pass; *rows*, a slice, are the output rows to run, of a conv that reads
-    the rows of *x* around them, and *out* holds only those."""
-    params, bn, slope = units[slot.name]
-    y = (T.conv2d(x, params, out, rows) if slot.op == "conv"
-         else T.transposed_conv2d(x, params, out=out))
-    return T.batchnorm_add_prelu(y, bn, None, slope, out=y)
-
-
-def _run_expand(x, slot: ConvSlot, units, out, main):
-    """A block's last, 1x1 conv unit, then its batchnorm, the add of *main* and its PReLU,
-    into *out*, which may hold *main*: as many output channels at a time as *x* has,
-    through this thread's "ext0" buffer, so the conv's output is never held whole."""
-    n, _, h, w = x.shape
-    for c, params, bn, slope in units[slot.name]:
-        band = T.conv2d(x, params, T.scratch("ext0", (n, params.kernel.shape[0], h, w)))
-        T.batchnorm_add_prelu(band, bn, main[:, c], slope, out[:, c])
+def _run_unit(x, unit, out, main=None, rows=None):
+    """One conv unit into the array *out*, sized by the caller, a band of output channels
+    at a time: its conv, then its batchnorm, the add of *main*'s channels if given, and its
+    PReLU, in one pass.  *out* may hold *main*, so a band that adds main's waits in this
+    thread's "ext0" buffer until they are read.  *rows*, a slice, are the output rows to
+    run, of a conv that reads the rows of *x* around them, and *out* holds only those."""
+    op, bands = unit
+    for c, params, bn, slope in bands:
+        y = out[:, c] if main is None else T.scratch(
+            "ext0", (len(out), len(params.kernel), *out.shape[2:]))
+        y = T.conv2d(x, params, y, rows) if op == "conv" else T.transposed_conv2d(x, params, out=y)
+        if main is None:  # the view the conv returned: another of out[:, c] would be copied
+            T.batchnorm_add_prelu(y, bn, None, slope, y)
+        else:
+            T.batchnorm_add_prelu(y, bn, main[:, c], slope, out[:, c])
     return out
 
 
 def _run_block(x, plan: BlockPlan, role, units, pools, kept, part: _Part):
-    """One row into the block buffer *role*, which holds *x* where the row works in
-    place; a pooling row's main branch goes into the leading channels of its output, and
-    its indices are kept only if *kept*.  *x* and the output hold only *part*'s rows,
-    except that the initial row reads the whole image."""
+    """One row, of conv units *units* in plan order, into the block buffer *role*, which
+    holds *x* where the row works in place; a pooling row's main branch goes into the
+    leading channels of its output, and its indices are kept only if *kept*.  *x* and the
+    output hold only *part*'s rows, except that the initial row reads the whole image."""
     kind, nm, c = plan.layer.kind, plan.layer.name, plan.layer.out_channels
     n, cin, h, w = x.shape
-    if kind == "initial":
-        rows, k = part.rows(h // 2), plan.ext[0].out_ch
+    if kind == "initial":  # its units start with the concatenation's batchnorm and slope
+        ((bn, slope), conv), rows, k = units, part.rows(h // 2), plan.ext[0].out_ch
         y = T.scratch(role, (n, c, rows.stop - rows.start, w // 2))
-        _run_slot(x, plan.ext[0], units, y[:, :k], rows)
+        _run_unit(x, conv, y[:, :k], rows=rows)
         T.maxpool2x2_with_indices(x[:, :, part.rows(h)], y[:, k:], indices=False)
-        bn, slope = units[nm]
         return T.batchnorm_add_prelu(y, bn, None, slope, y)
-    proj, inner = plan.ext[:2]
+    proj, inner, expand, mid = *units[:3], plan.ext[0].out_ch
     if kind == "up":  # "ext1" is free once the skip is unpooled; a tconv reads only its rows
         idx, hw = pools.pop()
-        skip = _run_slot(x, plan.main_conv, units, T.scratch("ext1", (n, c, h, w)))
+        skip = _run_unit(x, units[3], T.scratch("ext1", (n, c, h, w)))
         y = T.max_unpool2x2(skip, idx, hw, T.scratch(role, (n, c, *hw)))
-        ext = _run_slot(x, proj, units, T.scratch("ext0", (n, proj.out_ch, h, w)))
-        ext = _run_slot(ext, inner, units, T.scratch("ext1", (n, inner.out_ch, *hw)))
-        return _run_expand(ext, plan.ext[-1], units, y, y)
+        ext = _run_unit(x, proj, T.scratch("ext0", (n, mid, h, w)))
+        ext = _run_unit(ext, inner, T.scratch("ext1", (n, mid, *hw)))
+        return _run_unit(ext, expand, y, y)
     if kind == "down":
         y = T.scratch(role, (n, c, h // 2, w // 2))
         main = y[:, :cin]
@@ -527,22 +523,23 @@ def _run_block(x, plan: BlockPlan, role, units, pools, kept, part: _Part):
         y, main = T.scratch(role, x.shape), x
     # the projection is of the main branch's size, and its padded conv, of the same size,
     # reads the projection's rows around its own
-    whole, rows = part.halo((n, proj.out_ch, *main.shape[2:]))
-    own = _run_slot(x, proj, units, whole[:, :, rows])
+    whole, rows = part.halo((n, mid, *main.shape[2:]))
+    own = _run_unit(x, proj, whole[:, :, rows])
     part.wait()
-    ext = _run_slot(whole, inner, units, T.scratch("ext1", own.shape), rows)
-    return _run_expand(ext, plan.ext[-1], units, y, main)
+    ext = _run_unit(whole, inner, T.scratch("ext1", own.shape), rows=rows)
+    return _run_unit(ext, expand, y, main)
 
 
 def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
-    """Validate *store* once and resolve what no image changes: each row's plan, buffer
-    and size divisor (the image's size over its output's), each unit's ConvParams,
-    batchnorm (scale, shift) and PReLU slope (an expand's in bands of its input's width),
-    and the "down" rows whose pool indices an "up" row pops.  Returns the network, a
-    function of an image that holds read-only float32 copies of the weights, so later
-    changes to *store* do not reach it; threads may share it, each in buffers of its own."""
+    """Validate *store* once and resolve what no image changes: each row's plan, buffer,
+    size divisor (the image's size over its output's) and conv units in plan order, and
+    the "down" rows whose pool indices an "up" row pops.  A unit is its op and its bands
+    of output channels, each (slice, ConvParams, batchnorm (scale, shift), PReLU slope):
+    one band, or an expand's of its input's width.  Returns the network, a function of an
+    image that holds read-only float32 copies of the weights, so later changes to *store*
+    do not reach it; threads may share it, each in buffers of its own."""
     validate_weights(spec, store)
-    plans, units, downs, kept, trunk, depth = {}, {}, [], set(), None, 1
+    plans, downs, kept, trunk, depth = {}, [], set(), None, 1
 
     def own(a):
         a = np.array(a, dtype=np.float32)
@@ -554,11 +551,13 @@ def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
         bn, slope = T.norm_vectors(ch, parts, slope)
         return bn and (own(bn[0]), own(bn[1])), None if slope is None else own(slope)
 
-    def conv(s: ConvSlot, slope):  # a unit with no PReLU of its own takes *slope*
+    def unit(s: ConvSlot, slope, width):  # a unit with no PReLU of its own takes *slope*
         kernel = own(store[_weight_name(s.name, "kernel")])
-        units[s.name] = (T.ConvParams(kernel, s.stride, s.dilation, s.padding),
-                         *norm(s.name, s.out_ch, s.bn,
-                               store[_weight_name(s.name, "slope")] if s.act else slope))
+        bn, slope = norm(s.name, s.out_ch, s.bn,
+                         store[_weight_name(s.name, "slope")] if s.act else slope)
+        return s.op, [(c, T.ConvParams(kernel[c], s.stride, s.dilation, s.padding),
+                       bn and (bn[0][c], bn[1][c]), None if slope is None else slope[c])
+                      for c in (slice(i, i + width) for i in range(0, s.out_ch, width))]
 
     def row(plan: BlockPlan, head, x):  # *x*: the buffer (0 or 1) and divisor of its input
         nonlocal trunk, depth
@@ -568,22 +567,18 @@ def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
         if kind in ("initial", "down", "up") or (head is not None and block == trunk):
             block = 1 - block
         div = div * 2 if kind in ("initial", "down") else div // 2 if kind == "up" else div
-        plans[nm] = plan, f"block{block}", div
         trunk = block if head is None else trunk
         slope = None if kind == "conv1x1" else store[_weight_name(f"{nm}.out", "slope")]
+        units = []
         if kind == "initial":  # the batchnorm and PReLU of the concatenation
-            units[nm], slope = norm(nm, layer.out_channels, True, slope), None
+            units, slope = [norm(nm, layer.out_channels, True, slope)], None
         for s in plan.ext:  # the block's PReLU follows its last conv
-            conv(s, slope)
+            expand = kind in ("down", "up", "bottleneck") and s is plan.ext[-1]  # adds main
+            units.append(unit(s, slope, s.in_ch if expand else s.out_ch))
             depth = max(depth, s.in_ch * math.prod(s.kernel))  # of its GEMMs
-        if kind in ("down", "up", "bottleneck"):  # the expand, in bands of its input's width
-            e = plan.ext[-1]
-            params, (scale, shift), act = units[e.name]
-            bands = (slice(i, i + e.in_ch) for i in range(0, e.out_ch, e.in_ch))
-            units[e.name] = [(c, T.ConvParams(params.kernel[c]), (scale[c], shift[c]), act[c])
-                             for c in bands]
         if plan.main_conv is not None:
-            conv(plan.main_conv, None)
+            units.append(unit(plan.main_conv, None, plan.main_conv.out_ch))
+        plans[nm] = plan, f"block{block}", div, units
         if kind == "down":
             downs.append(nm)
         elif kind == "up":
@@ -621,21 +616,21 @@ def prepare(spec: ArchSpec, store: dict[str, np.ndarray]):
         n, _, h, w = image.shape
         maps = {}  # each at the size of its head's last row
         for head in spec.heads:
-            plan, _, d = plans[head.layers[-1].name]
+            plan, _, d, _ = plans[head.layers[-1].name]
             maps[head.name] = np.empty((n, plan.layer.out_channels, h // d, w // d), np.float32)
         # the most floats of one frame's projection that a padded conv reads
-        halo = max(plan.ext[0].out_ch * (h // d) * (w // d) for plan, _, d in plans.values()
+        halo = max(plan.ext[0].out_ch * (h // d) * (w // d) for plan, _, d, _ in plans.values()
                    if plan.layer.kind in ("down", "bottleneck"))
 
         def run(i, part):
             pools: list = []
 
             def step(prepared, head, x):
-                plan, role, _ = prepared
+                plan, role, _, units = prepared
                 if plan.layer.kind != "conv1x1":
                     return _run_block(x, plan, role, units, pools, kept, part)
                 out = maps[head][i:i + 1]
-                return _run_slot(x, plan.ext[0], units, out[:, :, part.rows(out.shape[2])])
+                return _run_unit(x, units[0], out[:, :, part.rows(out.shape[2])])
 
             walk(spec, image[i:i + 1], step, lambda layer, _: plans[layer.name])
 

@@ -173,7 +173,8 @@ def conv2d(x: np.ndarray, p: ConvParams, out=None, rows=None) -> np.ndarray:
 
 
 def transposed_conv2d(x: np.ndarray, p: ConvParams, out=None) -> np.ndarray:
-    """Transposed convolution (scatter-add of kernel taps), into ``out`` if given."""
+    """Transposed convolution (scatter-add of kernel taps), into ``out`` if given.  Each
+    tap's GEMM and the sum of the taps go through this thread's buffers."""
     x = as_f32(x)
     _require_nchw(x)
     n, c, h, w = x.shape
@@ -191,14 +192,14 @@ def transposed_conv2d(x: np.ndarray, p: ConvParams, out=None) -> np.ndarray:
     fh, fw = oh + 2 * ph, ow + 2 * pw  # the output before its padding is cut off
     full = scratch("temp", (n, oc, fh, fw))
     full.fill(0)
+    tap = scratch("conv.pad", (n, oc, h * w))  # conv2d's padding buffer, free here
     for i in range(kh):
         for j in range(kw):
-            tap = np.tensordot(p.kernel[:, :, i, j], x, axes=([1], [1]))
-            tap = tap.transpose(1, 0, 2, 3)
+            np.matmul(p.kernel[:, :, i, j], x.reshape(n, c, h * w), out=tap)
             full[
                 :, :, i * dh : i * dh + sh * (h - 1) + 1 : sh,
                 j * dw : j * dw + sw * (w - 1) + 1 : sw,
-            ] += tap
+            ] += tap.reshape(n, oc, h, w)
     out = np.empty((n, oc, oh, ow), dtype=np.float32) if out is None else out
     np.copyto(out, full[:, :, ph : fh - ph, pw : fw - pw])
     return out
@@ -207,8 +208,8 @@ def transposed_conv2d(x: np.ndarray, p: ConvParams, out=None) -> np.ndarray:
 def maxpool2x2_with_indices(x: np.ndarray, out=None, argmax=None, indices=True) -> tuple:
     """2x2/stride-2 max pooling into ``out`` if given; returns (values, argmax).  argmax
     holds, per pooled element, the flat position (h * W + w) of its winning cell in the
-    pre-pool plane, as int64 or written into ``argmax`` (of any integer dtype that holds
-    H * W) if given; with ``indices=False`` it is None.
+    pre-pool plane, as int64 or computed in ``argmax`` (of any integer dtype that holds
+    H * W) if given, with no wider temporary; with ``indices=False`` it is None.
 
     Odd trailing rows/columns are treated as padded with -inf, so pooling is
     well defined for any spatial size.  Ties pick the first cell in row-major
@@ -239,9 +240,10 @@ def maxpool2x2_with_indices(x: np.ndarray, out=None, argmax=None, indices=True) 
     top[fix] = np.choose(loc[fix] if indices else loc, [cell[fix] for cell in cells])
     if not indices:
         return top, None
-    # mode="clip" writes straight into argmax, where "raise" would buffer
+    # window cell loc is at row loc >> 1, column loc & 1 (a table lookup copies loc as intp)
     dt = np.int64 if argmax is None else argmax.dtype
-    flat = np.take(np.array([0, 1, w, w + 1], dtype=dt), loc, out=argmax, mode="clip")
+    flat = np.multiply(loc >> 1, w, out=argmax, dtype=dt)
+    flat += loc & 1
     flat += 2 * w * np.arange(h2, dtype=dt)[:, None] + 2 * np.arange(w2, dtype=dt)
     return top, flat
 

@@ -442,8 +442,8 @@ def test_warm_forward_makes_no_buffer_larger_than_a_returned_map(monkeypatch):
     # trace began, live at any conv on any thread, are the returned maps at most: a split
     # frame's two projection maps made per call (880 KiB at N=1) or an expand band (440
     # and 880 KiB) would show.  Kernel temporaries are left out, as another thread may hold
-    # one at a conv (max pool's 1,760 KiB intp copy of its indices, for one).  Two frame
-    # threads, in a pool of one made here, so every thread's buffers are warm
+    # one at a conv.  Two frame threads, in a pool of one made here, so every thread's
+    # buffers are warm
     spec = arch.build_enet21()
     net = arch.prepare(spec, arch.random_weights(spec, seed=5))
     rng = np.random.default_rng(13)

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,18 @@ from oracles import conv2d_ref, maxpool2x2_ref, sigmoid_ref, transposed_conv2d_r
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def warm_call_peak(call):
+    """The bytes that a warm *call* holds at its peak, over those traced before it."""
+    call()  # grows this thread's buffers
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 # ----------------------------------------------------------------- conv2d
@@ -140,6 +153,18 @@ def test_transposed_conv2d_matches_scatter_add(stride, padding, kernel):
     assert np.abs(got - ref).max() <= 1e-5
 
 
+def test_transposed_conv2d_taps_go_through_thread_buffers():
+    # the "up" row's upsampler at 640x352, out given: one tap is 220 KiB, and a fresh
+    # array per tap peaked at 443 KiB
+    g = rng(10)
+    x = g.standard_normal((1, 16, 44, 80)).astype(np.float32)
+    p = T.ConvParams(g.uniform(-0.1, 0.1, (16, 16, 2, 2)).astype(np.float32), stride=(2, 2))
+    out = np.empty((1, 16, 88, 160), np.float32)
+    peak = warm_call_peak(lambda: T.transposed_conv2d(x, p, out=out))
+    assert peak < 128 * 2**10, peak / 2**10
+    assert out.tobytes() == T.transposed_conv2d(x, p).tobytes()
+
+
 # ----------------------------------------------------------------- pooling
 
 def test_maxpool_trivial_window():
@@ -169,6 +194,19 @@ def test_maxpool_odd_dims_pad_with_neg_inf():
     ref_out, ref_idx = maxpool2x2_ref(x)
     assert out.shape == (1, 1, 3, 2)
     assert (out == ref_out).all() and (idx == ref_idx).all()
+
+
+def test_kept_pool_indices_peak_under_6_bytes_per_pooled_cell():
+    # the kept "down" row at 640x352, into given values and int32 indices: a table lookup
+    # by the uint8 window cells copied them as intp, 8 B per pooled cell, for 2,202 KiB
+    x = rng(9).standard_normal((1, 64, 88, 160)).astype(np.float32)
+    out = np.empty((1, 64, 44, 80), np.float32)
+    argmax = np.empty(out.shape, np.int32)
+    peak = warm_call_peak(lambda: T.maxpool2x2_with_indices(x, out, argmax))
+    assert peak < 6 * out.size, peak / 2**10
+    values, flat = T.maxpool2x2_with_indices(x)
+    assert flat.dtype == np.int64 and (flat == argmax).all()
+    assert values.tobytes() == out.tobytes()
 
 
 def test_unpool_scatters_single_value():
